@@ -8,9 +8,9 @@
 //
 // Versioning contract: within /v2, existing fields and error codes
 // are never renamed or removed, and unknown response fields must be
-// ignored by clients. A breaking change means a new version prefix,
-// served side by side, the way /v1 survives today as a deprecated
-// shim over the same handlers.
+// ignored by clients. A breaking change means a new version prefix.
+// /v2 is the only version served; the original /v1 routes have been
+// removed (ARCHITECTURE.md keeps the v1 → v2 migration table).
 package api
 
 import (
@@ -105,8 +105,8 @@ type WatchStats struct {
 	Lagged uint64 `json:"lagged"`
 }
 
-// IngestStats counts the server's HTTP ingest surface: what the
-// /v1 + /v2 record endpoints accepted, before detection. The same
+// IngestStats counts the server's HTTP ingest surface: what
+// POST /v2/records accepted, before detection. The same
 // counters back the tiresias_ingest_* series of GET /metrics — both
 // views read one set of registers, so dashboards built on either
 // cannot disagree.
@@ -129,7 +129,11 @@ type StatsResponse struct {
 	// Ingest reports the HTTP ingest surface (records and bytes
 	// accepted by the record endpoints).
 	Ingest IngestStats `json:"ingest"`
-	// StoreLen is the persistent dashboard store size.
+	// StoreLen is the number of anomalies the HTML report can show,
+	// which is the index occupancy (always equal to Index.Len).
+	//
+	// Deprecated: read Index.Len. Kept on the wire because /v2
+	// fields are never removed.
 	StoreLen int `json:"storeLen"`
 	// Panics counts handler panics the server recovered (each
 	// answered with a structured 500 instead of a dropped

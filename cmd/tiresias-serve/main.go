@@ -2,13 +2,16 @@
 // versioned /v2 wire API (package api) served by package httpserve —
 // NDJSON/batch ingest, cursor-paginated anomaly queries, per-stream
 // heavy-hitter introspection, live SSE anomaly subscriptions — next
-// to the stored-anomaly dashboard of the paper's front-end
-// (Fig. 3(f)) and the deprecated /v1 shims.
+// to the HTML anomaly report of the paper's front-end (Fig. 3(f)) at
+// GET /. The report reads the same bounded index as /v2/anomalies;
+// -store loads a cmd/tiresias -store file into that index under the
+// "default" stream.
 //
 // Usage:
 //
 //	tiresias-serve -store anomalies.json -addr :8080 -window 96 -delta 15m
 //	curl -X POST localhost:8080/v2/records -d '{"stream":"ccd","path":["vho1","io2"],"time":"2010-09-14T08:00:00Z"}'
+//	curl 'localhost:8080/?under=vho1'                               # HTML report
 //	curl 'localhost:8080/v2/anomalies?stream=ccd&limit=20'          # cursor-paginated
 //	curl 'localhost:8080/v2/streams'                                # fleet status
 //	curl 'localhost:8080/v2/streams/ccd'                            # + heavy hitters
@@ -56,6 +59,7 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -199,8 +203,8 @@ func parseLogLevel(s string) (slog.Level, error) {
 	}
 }
 
-// buildServer parses flags into an httpserve.Config, loads the store,
-// and returns the configured (unstarted) process. The caller runs the
+// buildServer parses flags into an httpserve.Config, loads the -store
+// history, and returns the configured (unstarted) process. The caller runs the
 // listener and, once it stops serving, proc.finish.
 func buildServer(args []string) (*proc, error) {
 	fs := flag.NewFlagSet("tiresias-serve", flag.ContinueOnError)
@@ -247,16 +251,16 @@ func buildServer(args []string) (*proc, error) {
 		// surface keeps the stricter contract.
 		return nil, fmt.Errorf("-shards must be >= 1, got %d", *shards)
 	}
-	st := tiresias.NewStore()
+	var history []tiresias.Anomaly
 	if *storePath != "" {
 		f, err := os.Open(*storePath)
 		if err != nil {
 			return nil, err
 		}
-		err = st.Load(f)
+		err = json.NewDecoder(f).Decode(&history)
 		f.Close()
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("load -store %s: %w", *storePath, err)
 		}
 	}
 	logger := slog.New(slog.NewJSONHandler(os.Stderr, &slog.HandlerOptions{Level: lvl}))
@@ -271,7 +275,7 @@ func buildServer(args []string) (*proc, error) {
 		Backpressure:  bp,
 		IndexCap:      *indexCap,
 		WatchBuffer:   *watchBuf,
-		Store:         st,
+		History:       history,
 		CheckpointDir: *ckptDir,
 		Restore:       *restore,
 		Logger:        logger,
@@ -342,7 +346,7 @@ func buildServer(args []string) (*proc, error) {
 		srv:       srv,
 		hs:        hs,
 		log:       plog,
-		loaded:    st.Len(),
+		loaded:    len(history),
 		handoff:   *handoff,
 		ckptDir:   *ckptDir,
 		pprofAddr: *pprofAddr,

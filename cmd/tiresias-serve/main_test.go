@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -12,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"tiresias/api"
 	"tiresias/internal/detect"
 	"tiresias/internal/hierarchy"
 	"tiresias/internal/report"
@@ -50,17 +52,17 @@ func TestBuildServerLoadsStore(t *testing.T) {
 	}
 	ts := httptest.NewServer(p.srv.Handler)
 	defer ts.Close()
-	resp, err := ts.Client().Get(ts.URL + "/anomalies?under=vho2")
+	resp, err := ts.Client().Get(ts.URL + "/v2/anomalies?stream=default&under=vho2")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var got []detect.Anomaly
+	var got api.AnomaliesPage
 	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 1 || got[0].Instance != 9 {
-		t.Fatalf("query result = %+v", got)
+	if len(got.Entries) != 1 || got.Entries[0].Instance != 9 || got.Entries[0].Stream != api.DefaultStream {
+		t.Fatalf("query result = %+v", got.Entries)
 	}
 }
 
@@ -106,6 +108,22 @@ func postJSON(t *testing.T, url string, body string, out any) int {
 	return resp.StatusCode
 }
 
+// postError posts body, expects an error response, and returns its
+// status and structured error code.
+func postError(t *testing.T, url string, body string) (int, string) {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var er api.ErrorResponse
+	if err := json.NewDecoder(resp.Body).Decode(&er); err != nil || er.Error == nil {
+		t.Fatalf("POST %s: status %d without an error envelope (%v)", url, resp.StatusCode, err)
+	}
+	return resp.StatusCode, er.Error.Code
+}
+
 func TestLiveIngestDetectsAndFeedsDashboard(t *testing.T) {
 	p := newProc(t, "-addr", "127.0.0.1:0", "-delta", "1m", "-window", "8", "-theta", "0.5", "-rt", "2", "-dt", "5")
 	ts := httptest.NewServer(p.srv.Handler)
@@ -140,7 +158,7 @@ func TestLiveIngestDetectsAndFeedsDashboard(t *testing.T) {
 		Accepted  int               `json:"accepted"`
 		Anomalies []json.RawMessage `json:"anomalies"`
 	}
-	if code := postJSON(t, ts.URL+"/v1/records", string(body), &ing); code != http.StatusOK {
+	if code := postJSON(t, ts.URL+"/v2/records", string(body), &ing); code != http.StatusOK {
 		t.Fatalf("ingest status = %d", code)
 	}
 	if ing.Accepted != len(batch) {
@@ -150,9 +168,9 @@ func TestLiveIngestDetectsAndFeedsDashboard(t *testing.T) {
 		t.Fatal("burst not flagged by live ingest")
 	}
 
-	// The stream shows up in /v1/streams, warm.
+	// The stream shows up in /v2/streams, warm.
 	var streams []map[string]any
-	resp, err := http.Get(ts.URL + "/v1/streams")
+	resp, err := http.Get(ts.URL + "/v2/streams")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,22 +180,21 @@ func TestLiveIngestDetectsAndFeedsDashboard(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(streams) != 1 || streams[0]["name"] != "ccd" || streams[0]["warm"] != true {
-		t.Fatalf("/v1/streams = %+v", streams)
+		t.Fatalf("/v2/streams = %+v", streams)
 	}
 
-	// Live detections also landed in the dashboard store.
-	resp, err = http.Get(ts.URL + "/anomalies?under=vho1")
+	// Live detections also show on the HTML report.
+	resp, err = http.Get(ts.URL + "/?under=vho1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var stored []detect.Anomaly
-	err = json.NewDecoder(resp.Body).Decode(&stored)
+	html, err := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(stored) == 0 {
-		t.Fatal("live anomalies not visible in the store API")
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(html), "<td>ccd</td>") {
+		t.Fatalf("live anomalies not visible on the report (status %d):\n%s", resp.StatusCode, html)
 	}
 }
 
@@ -190,20 +207,20 @@ func TestLiveIngestSingleObjectAndErrors(t *testing.T) {
 		Accepted int `json:"accepted"`
 	}
 	one := `{"path":["a","b"],"time":"2010-09-14T00:00:00Z"}`
-	if code := postJSON(t, ts.URL+"/v1/records", one, &ing); code != http.StatusOK {
+	if code := postJSON(t, ts.URL+"/v2/records", one, &ing); code != http.StatusOK {
 		t.Fatalf("single-object ingest status = %d", code)
 	}
 	if ing.Accepted != 1 {
 		t.Fatalf("accepted = %d, want 1 (default stream)", ing.Accepted)
 	}
 	// Malformed body, empty path, and out-of-order time are 400s.
-	for name, body := range map[string]string{
-		"garbage":      `{not json`,
-		"empty path":   `{"path":[],"time":"2010-09-14T00:00:00Z"}`,
-		"out of order": `{"path":["a"],"time":"2009-01-01T00:00:00Z"}`,
+	for name, tc := range map[string]struct{ body, code string }{
+		"garbage":      {`{not json`, api.CodeBadRequest},
+		"empty path":   {`{"path":[],"time":"2010-09-14T00:00:00Z"}`, api.CodeInvalidRecord},
+		"out of order": {`{"path":["a"],"time":"2009-01-01T00:00:00Z"}`, api.CodeOutOfOrder},
 	} {
-		if code := postJSON(t, ts.URL+"/v1/records", body, nil); code != http.StatusBadRequest {
-			t.Fatalf("%s: status = %d, want 400", name, code)
+		if status, code := postError(t, ts.URL+"/v2/records", tc.body); status != http.StatusBadRequest || code != tc.code {
+			t.Fatalf("%s: status = %d code = %q, want 400 %q", name, status, code, tc.code)
 		}
 	}
 }
@@ -223,8 +240,8 @@ func TestLiveIngestRejectsMissingTime(t *testing.T) {
 	defer ts.Close()
 	// A zero time would seed the stream clock at year 1 and let the
 	// next sane record gap-fill millions of units.
-	if code := postJSON(t, ts.URL+"/v1/records", `{"path":["a"]}`, nil); code != http.StatusBadRequest {
-		t.Fatalf("missing time: status = %d, want 400", code)
+	if status, code := postError(t, ts.URL+"/v2/records", `{"path":["a"]}`); status != http.StatusBadRequest || code != api.CodeInvalidRecord {
+		t.Fatalf("missing time: status = %d code = %q, want 400 %q", status, code, api.CodeInvalidRecord)
 	}
 }
 
@@ -233,8 +250,8 @@ func TestLiveIngestOversizedBodyIs413(t *testing.T) {
 	ts := httptest.NewServer(p.srv.Handler)
 	defer ts.Close()
 	big := "[" + strings.Repeat(" ", 9<<20) + "]"
-	if code := postJSON(t, ts.URL+"/v1/records", big, nil); code != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversized body: status = %d, want 413", code)
+	if status, code := postError(t, ts.URL+"/v2/records", big); status != http.StatusRequestEntityTooLarge || code != api.CodeBodyTooLarge {
+		t.Fatalf("oversized body: status = %d code = %q, want 413 %q", status, code, api.CodeBodyTooLarge)
 	}
 }
 
@@ -244,11 +261,11 @@ func TestLiveIngestBatchValidationHasNoSideEffects(t *testing.T) {
 	defer ts.Close()
 	// A batch with a bad second record must not feed the first one.
 	bad := `[{"stream":"s","path":["a"],"time":"2010-09-14T00:00:00Z"},{"stream":"s","path":[]}]`
-	if code := postJSON(t, ts.URL+"/v1/records", bad, nil); code != http.StatusBadRequest {
-		t.Fatalf("bad batch: status = %d, want 400", code)
+	if status, code := postError(t, ts.URL+"/v2/records", bad); status != http.StatusBadRequest || code != api.CodeInvalidRecord {
+		t.Fatalf("bad batch: status = %d code = %q, want 400 %q", status, code, api.CodeInvalidRecord)
 	}
 	var streams []map[string]any
-	resp, err := http.Get(ts.URL + "/v1/streams")
+	resp, err := http.Get(ts.URL + "/v2/streams")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +280,7 @@ func TestLiveIngestBatchValidationHasNoSideEffects(t *testing.T) {
 }
 
 // TestCheckpointEndpointAndRestore ingests into two streams, snapshots
-// through POST /v1/checkpoint, restarts the server with -restore, and
+// through POST /v2/checkpoint, restarts the server with -restore, and
 // verifies the streams resume (warm state, counters, live ingest).
 func TestCheckpointEndpointAndRestore(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "ckpt")
@@ -291,14 +308,14 @@ func TestCheckpointEndpointAndRestore(t *testing.T) {
 	var ing struct {
 		Accepted int `json:"accepted"`
 	}
-	if code := postJSON(t, ts.URL+"/v1/records", string(body), &ing); code != http.StatusOK {
+	if code := postJSON(t, ts.URL+"/v2/records", string(body), &ing); code != http.StatusOK {
 		t.Fatalf("ingest status = %d", code)
 	}
 	var ck struct {
 		Streams int    `json:"streams"`
 		Dir     string `json:"dir"`
 	}
-	if code := postJSON(t, ts.URL+"/v1/checkpoint", "", &ck); code != http.StatusOK {
+	if code := postJSON(t, ts.URL+"/v2/checkpoint", "", &ck); code != http.StatusOK {
 		t.Fatalf("checkpoint status = %d", code)
 	}
 	if ck.Streams != 2 || ck.Dir != dir {
@@ -311,7 +328,7 @@ func TestCheckpointEndpointAndRestore(t *testing.T) {
 	ts2 := httptest.NewServer(p2.srv.Handler)
 	defer ts2.Close()
 	var streams []map[string]any
-	resp, err := http.Get(ts2.URL + "/v1/streams")
+	resp, err := http.Get(ts2.URL + "/v2/streams")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +338,7 @@ func TestCheckpointEndpointAndRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(streams) != 2 || streams[0]["warm"] != true || streams[1]["warm"] != true {
-		t.Fatalf("restored /v1/streams = %+v", streams)
+		t.Fatalf("restored /v2/streams = %+v", streams)
 	}
 	next := map[string]any{
 		"stream": "ccd", "path": []string{"vho1", "io2"},
@@ -331,7 +348,7 @@ func TestCheckpointEndpointAndRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if code := postJSON(t, ts2.URL+"/v1/records", string(body), &ing); code != http.StatusOK {
+	if code := postJSON(t, ts2.URL+"/v2/records", string(body), &ing); code != http.StatusOK {
 		t.Fatalf("post-restore ingest status = %d", code)
 	}
 	if ing.Accepted != 1 {
@@ -344,9 +361,8 @@ func TestCheckpointEndpointDisabled(t *testing.T) {
 	p := newProc(t, "-addr", "127.0.0.1:0")
 	ts := httptest.NewServer(p.srv.Handler)
 	defer ts.Close()
-	var out map[string]any
-	if code := postJSON(t, ts.URL+"/v1/checkpoint", "", &out); code != http.StatusConflict {
-		t.Fatalf("checkpoint without -checkpoint-dir: status = %d, want 409", code)
+	if status, code := postError(t, ts.URL+"/v2/checkpoint", ""); status != http.StatusConflict || code != api.CodeCheckpointDisabled {
+		t.Fatalf("checkpoint without -checkpoint-dir: status = %d code = %q, want 409 %q", status, code, api.CodeCheckpointDisabled)
 	}
 	if _, err := buildServer([]string{"-restore"}); err == nil {
 		t.Fatal("-restore without -checkpoint-dir must fail")
@@ -385,7 +401,7 @@ func TestNDJSONIngestAndAnomalyQuery(t *testing.T) {
 	defer ts.Close()
 
 	body := ndjsonBody("ccd", 30)
-	resp, err := http.Post(ts.URL+"/v1/records", "application/x-ndjson", strings.NewReader(body))
+	resp, err := http.Post(ts.URL+"/v2/records", "application/x-ndjson", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,7 +420,7 @@ func TestNDJSONIngestAndAnomalyQuery(t *testing.T) {
 		t.Fatalf("accepted = %d anomalies = %d", ing.Accepted, len(ing.Anomalies))
 	}
 
-	// The same detections are queryable from the index, newest first.
+	// The same detections are queryable from the index, oldest first.
 	var q struct {
 		Entries []struct {
 			Seq    uint64    `json:"seq"`
@@ -429,26 +445,26 @@ func TestNDJSONIngestAndAnomalyQuery(t *testing.T) {
 		}
 		return resp.StatusCode
 	}
-	if code := getJSON(ts.URL + "/v1/anomalies?stream=ccd"); code != http.StatusOK {
+	if code := getJSON(ts.URL + "/v2/anomalies?stream=ccd"); code != http.StatusOK {
 		t.Fatalf("query status = %d", code)
 	}
 	if len(q.Entries) != len(ing.Anomalies) || q.Entries[0].Stream != "ccd" {
 		t.Fatalf("index entries = %d, ingest anomalies = %d", len(q.Entries), len(ing.Anomalies))
 	}
 	// Time-range filter excludes everything before the burst.
-	if code := getJSON(ts.URL + "/v1/anomalies?from=2010-09-14T00:30:00Z&to=2010-09-14T00:31:00Z"); code != http.StatusOK {
+	if code := getJSON(ts.URL + "/v2/anomalies?from=2010-09-14T00:30:00Z&to=2010-09-14T00:31:00Z"); code != http.StatusOK {
 		t.Fatalf("range query status = %d", code)
 	}
 	if len(q.Entries) == 0 {
 		t.Fatal("burst unit not matched by time-range query")
 	}
 	// An unrelated stream matches nothing.
-	if getJSON(ts.URL + "/v1/anomalies?stream=nope"); len(q.Entries) != 0 {
+	if getJSON(ts.URL + "/v2/anomalies?stream=nope"); len(q.Entries) != 0 {
 		t.Fatalf("stream filter leaked %d entries", len(q.Entries))
 	}
 	// Bad parameters are 400s.
-	for _, bad := range []string{"?from=yesterday", "?limit=ten", "?since=-1", "?to=nope"} {
-		if code := getJSON(ts.URL + "/v1/anomalies" + bad); code != http.StatusBadRequest {
+	for _, bad := range []string{"?from=yesterday", "?limit=ten", "?cursor=zzz!", "?to=nope"} {
+		if code := getJSON(ts.URL + "/v2/anomalies" + bad); code != http.StatusBadRequest {
 			t.Fatalf("%s: status = %d, want 400", bad, code)
 		}
 	}
@@ -463,7 +479,7 @@ func TestNDJSONAutoDetected(t *testing.T) {
 	var ing struct {
 		Accepted int `json:"accepted"`
 	}
-	if code := postJSON(t, ts.URL+"/v1/records", body, &ing); code != http.StatusOK {
+	if code := postJSON(t, ts.URL+"/v2/records", body, &ing); code != http.StatusOK {
 		t.Fatalf("status = %d", code)
 	}
 	if ing.Accepted != 2 {
@@ -481,7 +497,7 @@ func TestPipelinedIngestEndToEnd(t *testing.T) {
 	body := ndjsonBody("stb", 30)
 	// ?wait=1 drains the pipeline before the response, so the index
 	// read below is ordered after detection.
-	resp, err := http.Post(ts.URL+"/v1/records?wait=1", "application/x-ndjson", strings.NewReader(body))
+	resp, err := http.Post(ts.URL+"/v2/records?wait=1", "application/x-ndjson", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -504,7 +520,7 @@ func TestPipelinedIngestEndToEnd(t *testing.T) {
 	var q struct {
 		Entries []json.RawMessage `json:"entries"`
 	}
-	resp, err = http.Get(ts.URL + "/v1/anomalies?stream=stb")
+	resp, err = http.Get(ts.URL + "/v2/anomalies?stream=stb")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -528,7 +544,7 @@ func TestPipelinedIngestEndToEnd(t *testing.T) {
 			Added uint64 `json:"added"`
 		} `json:"index"`
 	}
-	resp, err = http.Get(ts.URL + "/v1/stats")
+	resp, err = http.Get(ts.URL + "/v2/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -538,13 +554,13 @@ func TestPipelinedIngestEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !st.Manager.Pipelined || st.Manager.Policy != "block" {
-		t.Fatalf("/v1/stats manager = %+v", st.Manager)
+		t.Fatalf("/v2/stats manager = %+v", st.Manager)
 	}
 	if st.Manager.Records != 81 || st.Manager.Enqueued != 81 {
 		t.Fatalf("throughput counters = %+v", st.Manager)
 	}
 	if st.Index.Added == 0 {
-		t.Fatal("/v1/stats index added = 0")
+		t.Fatal("/v2/stats index added = 0")
 	}
 }
 

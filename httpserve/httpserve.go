@@ -1,16 +1,13 @@
 // Package httpserve is the reusable HTTP serving layer of tiresias:
-// it wires a sharded Manager, the bounded anomaly index, the
-// persistent dashboard store, and a live subscription hub behind the
-// versioned /v2 wire API defined in package api — NDJSON and batch
-// ingest, cursor-paginated anomaly queries, per-stream introspection
-// (including heavy hitters), configuration introspection, on-demand
-// checkpoints, and a Server-Sent-Events watch stream with bounded
-// per-subscriber buffers and slow-consumer drop accounting.
-//
-// The deprecated /v1 routes are served as thin shims over the same
-// handlers (legacy response shapes, plain-text errors), so existing
-// clients keep working while /v2 is adopted; every /v1 response
-// carries a Deprecation header pointing at its successor.
+// it wires a sharded Manager, the bounded anomaly index, and a live
+// subscription hub behind the versioned /v2 wire API defined in
+// package api — NDJSON and batch ingest, cursor-paginated anomaly
+// queries, per-stream introspection (including heavy hitters),
+// configuration introspection, on-demand checkpoints, and a
+// Server-Sent-Events watch stream with bounded per-subscriber buffers
+// and slow-consumer drop accounting. GET / renders the HTML anomaly
+// report from the same index, so the server's anomaly memory is
+// bounded by Config.IndexCap, not by the traffic it has seen.
 //
 // cmd/tiresias-serve is flag parsing and process lifecycle around
 // this package; embedders can mount Handler on any mux instead.
@@ -31,6 +28,7 @@ import (
 
 	"tiresias"
 	"tiresias/api"
+	"tiresias/internal/report"
 )
 
 // Config assembles a Server. The zero value of every field selects a
@@ -61,9 +59,11 @@ type Config struct {
 	Backpressure tiresias.BackpressurePolicy
 	// IndexCap is the anomaly-index capacity (default 65536).
 	IndexCap int
-	// Store is the persistent dashboard store to serve and feed;
-	// nil builds an empty one.
-	Store *tiresias.Store
+	// History is previously detected anomalies (for example a
+	// cmd/tiresias -store file) added to the index under
+	// api.DefaultStream at construction. History beyond IndexCap is
+	// evicted and counted like any other entry.
+	History []tiresias.Anomaly
 	// CheckpointDir enables POST /v2/checkpoint into the directory.
 	CheckpointDir string
 	// Restore rebuilds the fleet from CheckpointDir at construction
@@ -126,9 +126,6 @@ func (cfg Config) withDefaults() Config {
 	if cfg.IndexCap == 0 {
 		cfg.IndexCap = 65536
 	}
-	if cfg.Store == nil {
-		cfg.Store = tiresias.NewStore()
-	}
 	if cfg.MaxBodyBytes == 0 {
 		cfg.MaxBodyBytes = 8 << 20
 	}
@@ -162,7 +159,6 @@ type Server struct {
 	cfg       Config
 	mgr       *tiresias.Manager
 	ix        *tiresias.AnomalyIndex
-	store     *tiresias.Store
 	hub       *hub
 	mux       *http.ServeMux
 	handler   http.Handler
@@ -190,20 +186,17 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:       cfg,
 		ix:        tiresias.NewAnomalyIndex(cfg.IndexCap),
-		store:     cfg.Store,
 		hub:       newHub(),
 		pipelined: cfg.QueueDepth > 0,
 		metrics:   newServerMetrics(cfg.Shards),
 		log:       cfg.Logger,
 	}
-	// Every live stream's detector feeds the dashboard store, so
-	// live detections surface next to loaded history.
+	s.ix.Add(api.DefaultStream, cfg.History...)
 	liveOpts := append([]tiresias.Option{
 		tiresias.WithDelta(cfg.Delta),
 		tiresias.WithWindowLen(cfg.WindowLen),
 		tiresias.WithTheta(cfg.Theta),
 		tiresias.WithThresholds(cfg.Thresholds),
-		tiresias.WithSink(tiresias.NewStoreSink(s.store)),
 	}, cfg.DetectorOptions...)
 	// The Manager builds detectors lazily on first Feed; probe the
 	// configuration now so bad options fail at construction.
@@ -242,8 +235,7 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// routes wires the /v2 API, the deprecated /v1 shims, and the
-// dashboard.
+// routes wires the /v2 API, the metrics scrape, and the HTML report.
 func (s *Server) routes() {
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v2/records", s.ingestV2)
@@ -256,15 +248,12 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /v2/healthz", s.healthzV2)
 	s.mux.HandleFunc("POST /v2/checkpoint", s.checkpointV2)
 	s.mux.Handle("GET /metrics", s.metricsHandler())
-	s.routesV1()
-	// The dashboard serves the HTML report at "/" and keeps its
-	// legacy JSON API at /anomalies and /stats.
-	s.mux.Handle("/", s.store.DashboardHandler())
+	s.mux.HandleFunc("GET /{$}", s.dashboard)
 	s.handler = s.contain(s.mux)
 }
 
-// Handler returns the root handler: /v2, the /v1 shims, and the
-// dashboard, wrapped in the per-request containment middleware
+// Handler returns the root handler: /v2, /metrics, and the HTML
+// report, wrapped in the per-request containment middleware
 // (panic recovery plus the write deadline).
 func (s *Server) Handler() http.Handler { return s.handler }
 
@@ -387,21 +376,13 @@ func (s *Server) Checkpoint() (int, error) {
 }
 
 // wireError is an error on its way out: the structured envelope plus
-// the transport details each API version renders its own way.
+// its HTTP status and Retry-After hint.
 type wireError struct {
 	status     int
 	code       string
 	message    string
 	details    map[string]any
-	legacyMsg  string // /v1 plain-text body ("" → message)
 	retryAfter time.Duration
-}
-
-func (e *wireError) legacy() string {
-	if e.legacyMsg != "" {
-		return e.legacyMsg
-	}
-	return e.message
 }
 
 // writeJSON writes v with the given status.
@@ -423,18 +404,6 @@ func writeErrorV2(w http.ResponseWriter, e *wireError) {
 	}})
 }
 
-// writeErrorV1 renders a wireError for the legacy /v1 surface:
-// plain-text bodies as before, except queue-full 429s, which gained
-// the Retry-After header and the structured body (a deliberate v1
-// improvement — clients keying on the status code are unaffected).
-func writeErrorV1(w http.ResponseWriter, e *wireError) {
-	if e.code == api.CodeQueueFull {
-		writeErrorV2(w, e)
-		return
-	}
-	http.Error(w, e.legacy(), e.status)
-}
-
 // retryAfterSeconds renders a delay as the whole-second Retry-After
 // header value, rounding up so a sub-second hint never becomes 0.
 func retryAfterSeconds(d time.Duration) string {
@@ -448,20 +417,23 @@ func retryAfterSeconds(d time.Duration) string {
 // errBodyTooLarge marks an ingest body over Config.MaxBodyBytes.
 var errBodyTooLarge = errors.New("request body too large")
 
-// ingest is the shared ingest core behind POST /v1/records and
-// POST /v2/records: decode (JSON object, array, or NDJSON), validate
-// the whole batch before feeding anything, then feed or enqueue
-// per-stream groups. Accepted records are counted on the ingest
-// metrics whether or not the call as a whole errored — Accepted is
-// the contract either way.
-func (s *Server) ingest(r *http.Request) (api.IngestResponse, *wireError) {
-	resp, we := s.ingestCore(r)
+// ingestV2 serves POST /v2/records. Accepted records are counted on
+// the ingest metrics whether or not the call as a whole errored —
+// Accepted is the contract either way.
+func (s *Server) ingestV2(w http.ResponseWriter, r *http.Request) {
+	resp, we := s.ingest(r)
 	s.metrics.ingestRecords.Add(uint64(resp.Accepted))
-	return resp, we
+	if we != nil {
+		writeErrorV2(w, we)
+		return
+	}
+	writeJSON(w, http.StatusOK, resp)
 }
 
-// ingestCore is ingest without the accounting.
-func (s *Server) ingestCore(r *http.Request) (api.IngestResponse, *wireError) {
+// ingest decodes a request body (JSON object, array, or NDJSON),
+// validates the whole batch before feeding anything, then feeds or
+// enqueues per-stream groups.
+func (s *Server) ingest(r *http.Request) (api.IngestResponse, *wireError) {
 	resp := api.IngestResponse{Anomalies: []tiresias.Anomaly{}}
 	recs, err := s.decodeRecords(r.Body, r.Header.Get("Content-Type"))
 	if errors.Is(err, errBodyTooLarge) {
@@ -492,11 +464,10 @@ func (s *Server) ingestCore(r *http.Request) (api.IngestResponse, *wireError) {
 			continue
 		}
 		return resp, &wireError{
-			status:    http.StatusBadRequest,
-			code:      api.CodeInvalidRecord,
-			message:   fmt.Sprintf("record %d: %s", i, what),
-			details:   map[string]any{"record": i},
-			legacyMsg: fmt.Sprintf("record %d: %s (accepted 0)", i, what),
+			status:  http.StatusBadRequest,
+			code:    api.CodeInvalidRecord,
+			message: fmt.Sprintf("record %d: %s", i, what),
+			details: map[string]any{"record": i},
 		}
 	}
 	groups := groupByStream(recs)
@@ -509,11 +480,10 @@ func (s *Server) ingestCore(r *http.Request) (api.IngestResponse, *wireError) {
 			if err := s.mgr.EnqueueBatchContext(r.Context(), g.stream, g.recs); err != nil {
 				code := api.CodeFor(err, api.CodeInternal)
 				we := &wireError{
-					status:    api.StatusFor(code),
-					code:      code,
-					message:   err.Error(),
-					details:   map[string]any{"accepted": resp.Accepted},
-					legacyMsg: fmt.Sprintf("%v (accepted %d)", err, resp.Accepted),
+					status:  api.StatusFor(code),
+					code:    code,
+					message: err.Error(),
+					details: map[string]any{"accepted": resp.Accepted},
 				}
 				if code == api.CodeQueueFull {
 					we.retryAfter = s.cfg.RetryAfter
@@ -536,11 +506,10 @@ func (s *Server) ingestCore(r *http.Request) (api.IngestResponse, *wireError) {
 				// record.
 				code := api.CodeFor(err, api.CodeBadRequest)
 				return resp, &wireError{
-					status:    api.StatusFor(code),
-					code:      code,
-					message:   err.Error(),
-					details:   map[string]any{"accepted": resp.Accepted},
-					legacyMsg: fmt.Sprintf("%v (accepted %d)", err, resp.Accepted),
+					status:  api.StatusFor(code),
+					code:    code,
+					message: err.Error(),
+					details: map[string]any{"accepted": resp.Accepted},
 				}
 			}
 		}
@@ -549,16 +518,6 @@ func (s *Server) ingestCore(r *http.Request) (api.IngestResponse, *wireError) {
 		s.mgr.Drain()
 	}
 	return resp, nil
-}
-
-// ingestV2 serves POST /v2/records.
-func (s *Server) ingestV2(w http.ResponseWriter, r *http.Request) {
-	resp, we := s.ingest(r)
-	if we != nil {
-		writeErrorV2(w, we)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
 // recordGroup is a run of consecutive posted records for one stream,
@@ -659,13 +618,17 @@ func decodeNDJSON(raw []byte) ([]api.Record, error) {
 }
 
 // anomalyQuery parses the shared anomaly-query parameters (stream,
-// under, from, to, cursor) of the query and watch endpoints. reset
-// reports a syntactically valid cursor from a different index epoch
-// (the walk restarts from the oldest retained entry).
+// under, from, to, cursor) of the query and watch endpoints and the
+// HTML report. reset reports a syntactically valid cursor from a
+// different index epoch (the walk restarts from the oldest retained
+// entry).
 func (s *Server) anomalyQuery(r *http.Request) (q tiresias.AnomalyQuery, reset bool, we *wireError) {
 	q = tiresias.AnomalyQuery{Stream: r.URL.Query().Get("stream")}
 	if under := r.URL.Query().Get("under"); under != "" {
-		q.Under = tiresias.KeyOf(strings.Split(under, "/"))
+		// Empty segments ("vho1/", "/vho1", "a//b") are dropped: a
+		// key with an empty component is no node's ancestor, so it
+		// would silently match nothing.
+		q.Under = tiresias.KeyOf(strings.FieldsFunc(under, func(c rune) bool { return c == '/' }))
 	}
 	var err error
 	if v := r.URL.Query().Get("from"); v != "" {
@@ -721,17 +684,9 @@ func (s *Server) anomaliesV2(w http.ResponseWriter, r *http.Request) {
 		writeErrorV2(w, we)
 		return
 	}
-	q.Limit = 100
-	if v := r.URL.Query().Get("limit"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 1 {
-			writeErrorV2(w, badParam("limit", fmt.Errorf("want a positive integer, got %q", v)))
-			return
-		}
-		q.Limit = n
-	}
-	if q.Limit > s.cfg.PageLimit {
-		q.Limit = s.cfg.PageLimit
+	if q.Limit, we = s.limit(r, 100); we != nil {
+		writeErrorV2(w, we)
+		return
 	}
 	p := s.ix.PageAfter(q)
 	if p.Entries == nil {
@@ -748,6 +703,37 @@ func (s *Server) anomaliesV2(w http.ResponseWriter, r *http.Request) {
 		resp.NextCursor = s.cursor(p.Next)
 	}
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// limit parses the ?limit= page size (def when absent), capped at
+// Config.PageLimit.
+func (s *Server) limit(r *http.Request, def int) (int, *wireError) {
+	n := def
+	if v := r.URL.Query().Get("limit"); v != "" {
+		var err error
+		if n, err = strconv.Atoi(v); err != nil || n < 1 {
+			return 0, badParam("limit", fmt.Errorf("want a positive integer, got %q", v))
+		}
+	}
+	return min(n, s.cfg.PageLimit), nil
+}
+
+// dashboard serves GET /: the HTML anomaly report (the paper's web
+// report, Fig. 3(f)) over the index, newest first, filtered with the
+// /v2/anomalies query grammar (stream, under, RFC 3339 from/to).
+func (s *Server) dashboard(w http.ResponseWriter, r *http.Request) {
+	q, _, we := s.anomalyQuery(r)
+	if we == nil {
+		q.Limit, we = s.limit(r, 200)
+	}
+	if we != nil {
+		writeErrorV2(w, we)
+		return
+	}
+	w.Header().Set("Content-Type", "text/html; charset=utf-8")
+	// Headers are sent once rendering starts; a failed write has no
+	// one left to report to.
+	_ = report.WriteDashboard(w, s.ix.Query(q), s.ix.Len(), r.URL.Query())
 }
 
 // streamsV2 serves GET /v2/streams.
@@ -812,7 +798,7 @@ func (s *Server) healthzV2(w http.ResponseWriter, r *http.Request) {
 // configV2 serves GET /v2/config.
 func (s *Server) configV2(w http.ResponseWriter, r *http.Request) {
 	cfg := api.ServerConfig{
-		APIVersions:   []string{"v1", api.Version},
+		APIVersions:   []string{api.Version},
 		Delta:         s.cfg.Delta.String(),
 		WindowLen:     s.cfg.WindowLen,
 		Theta:         s.cfg.Theta,
@@ -832,34 +818,24 @@ func (s *Server) configV2(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, cfg)
 }
 
-// checkpoint is the shared core of POST /v1/checkpoint and
-// POST /v2/checkpoint.
-func (s *Server) checkpoint() (api.CheckpointResponse, *wireError) {
+// checkpointV2 serves POST /v2/checkpoint.
+func (s *Server) checkpointV2(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.CheckpointDir == "" {
-		return api.CheckpointResponse{}, &wireError{
-			status:    http.StatusConflict,
-			code:      api.CodeCheckpointDisabled,
-			message:   "checkpointing disabled: start with a checkpoint directory",
-			legacyMsg: "checkpointing disabled: start with -checkpoint-dir",
-		}
+		writeErrorV2(w, &wireError{
+			status:  http.StatusConflict,
+			code:    api.CodeCheckpointDisabled,
+			message: "checkpointing disabled: start with a checkpoint directory",
+		})
+		return
 	}
 	n, err := s.mgr.Checkpoint(s.cfg.CheckpointDir)
 	if err != nil {
-		return api.CheckpointResponse{}, &wireError{
+		writeErrorV2(w, &wireError{
 			status:  http.StatusInternalServerError,
 			code:    api.CodeInternal,
 			message: err.Error(),
-		}
-	}
-	return api.CheckpointResponse{Streams: n, Dir: s.cfg.CheckpointDir}, nil
-}
-
-// checkpointV2 serves POST /v2/checkpoint.
-func (s *Server) checkpointV2(w http.ResponseWriter, r *http.Request) {
-	resp, we := s.checkpoint()
-	if we != nil {
-		writeErrorV2(w, we)
+		})
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, api.CheckpointResponse{Streams: n, Dir: s.cfg.CheckpointDir})
 }

@@ -265,37 +265,6 @@ func TestQueueFull429HasRetryAfterAndStructuredBody(t *testing.T) {
 	close(gs.gate)
 }
 
-func TestQueueFull429OnV1Too(t *testing.T) {
-	gs := &gateSink{arrived: make(chan struct{}), gate: make(chan struct{})}
-	cfg := testConfig()
-	cfg.Shards = 1
-	cfg.QueueDepth = 1
-	cfg.Backpressure = tiresias.ErrorWhenFull
-	cfg.DetectorOptions = []tiresias.Option{tiresias.WithSink(gs)}
-	_, ts := newTestServer(t, cfg)
-
-	post(t, ts.URL+"/v1/records", "application/x-ndjson", ndjsonBody("s", 8), nil)
-	<-gs.arrived
-	var full *http.Response
-	for i := 0; i < 2; i++ {
-		body := fmt.Sprintf(`{"stream":"s","path":["a"],"time":"2010-09-14T00:%02d:00Z"}`, 10+i)
-		full = post(t, ts.URL+"/v1/records", "application/json", body, nil)
-		if full.StatusCode == http.StatusTooManyRequests {
-			break
-		}
-	}
-	if full.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("v1 queue never filled: status = %d", full.StatusCode)
-	}
-	if full.Header.Get("Retry-After") == "" {
-		t.Fatal("v1 429 missing Retry-After")
-	}
-	if e := decodeError(t, full); e.Code != api.CodeQueueFull {
-		t.Fatalf("v1 429 code = %q", e.Code)
-	}
-	close(gs.gate)
-}
-
 func TestV2StreamDetailHeavyHitters(t *testing.T) {
 	_, ts := newTestServer(t, testConfig())
 	post(t, ts.URL+"/v2/records", "application/x-ndjson", ndjsonBody("ccd", 30), nil)
@@ -336,8 +305,8 @@ func TestV2ConfigAndStats(t *testing.T) {
 		sc.Checkpointing || sc.MaxGap != tiresias.DefaultMaxGap {
 		t.Fatalf("config = %+v", sc)
 	}
-	if len(sc.APIVersions) != 2 || sc.APIVersions[1] != api.Version {
-		t.Fatalf("apiVersions = %v", sc.APIVersions)
+	if len(sc.APIVersions) != 1 || sc.APIVersions[0] != api.Version {
+		t.Fatalf("apiVersions = %v, want [%s]", sc.APIVersions, api.Version)
 	}
 
 	post(t, ts.URL+"/v2/records?wait=1", "application/x-ndjson", ndjsonBody("s", 30), nil)
@@ -347,6 +316,9 @@ func TestV2ConfigAndStats(t *testing.T) {
 	}
 	if st.Manager.Records != 81 || !st.Manager.Pipelined || st.Index.Added == 0 {
 		t.Fatalf("stats = %+v", st)
+	}
+	if st.StoreLen != st.Index.Len {
+		t.Fatalf("storeLen = %d, want the index length %d", st.StoreLen, st.Index.Len)
 	}
 }
 
@@ -398,20 +370,162 @@ func TestV2CheckpointAndRestore(t *testing.T) {
 	_ = s3.Close()
 }
 
-func TestV1ShimsCarryDeprecationHeaders(t *testing.T) {
+func TestV1RoutesRemoved(t *testing.T) {
 	_, ts := newTestServer(t, testConfig())
-	for _, path := range []string{"/v1/streams", "/v1/anomalies", "/v1/stats"} {
-		resp := get(t, ts.URL+path, nil)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s: status = %d", path, resp.StatusCode)
-		}
-		if resp.Header.Get("Deprecation") == "" || !strings.Contains(resp.Header.Get("Link"), "/v2") {
-			t.Fatalf("%s: missing deprecation headers", path)
+	one := `{"path":["a"],"time":"2010-09-14T00:00:00Z"}`
+	for _, path := range []string{"/v1/records", "/v1/checkpoint"} {
+		if resp := post(t, ts.URL+path, "application/json", one, nil); resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("POST %s: status = %d, want 404", path, resp.StatusCode)
 		}
 	}
-	// v2 endpoints carry none.
-	if resp := get(t, ts.URL+"/v2/streams", nil); resp.Header.Get("Deprecation") != "" {
-		t.Fatal("/v2 must not be marked deprecated")
+	// The unversioned dashboard JSON routes went with them.
+	for _, path := range []string{"/v1/streams", "/v1/anomalies", "/v1/stats", "/anomalies", "/stats"} {
+		if resp := get(t, ts.URL+path, nil); resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("GET %s: status = %d, want 404", path, resp.StatusCode)
+		}
+	}
+	if resp := get(t, ts.URL+"/v2/streams", nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("/v2/streams: status = %d", resp.StatusCode)
+	}
+}
+
+func TestAnomalyQueryDropsEmptyPathSegments(t *testing.T) {
+	_, ts := newTestServer(t, testConfig())
+	post(t, ts.URL+"/v2/records", "application/x-ndjson", ndjsonBody("ccd", 30), nil)
+	page := func(under string) api.AnomaliesPage {
+		t.Helper()
+		var p api.AnomaliesPage
+		if r := get(t, ts.URL+"/v2/anomalies?under="+under, &p); r.StatusCode != http.StatusOK {
+			t.Fatalf("under=%s: status = %d", under, r.StatusCode)
+		}
+		return p
+	}
+	for _, tc := range []struct{ canonical, variant string }{
+		{"vho1", "vho1/"},
+		{"vho1", "/vho1"},
+		{"vho1/io2", "vho1//io2"},
+	} {
+		want, got := page(tc.canonical), page(tc.variant)
+		if len(want.Entries) == 0 {
+			t.Fatalf("under=%s matched nothing; the burst was not detected", tc.canonical)
+		}
+		if len(got.Entries) != len(want.Entries) || got.Cursor != want.Cursor {
+			t.Fatalf("under=%s: %d entries (cursor %s), under=%s: %d entries (cursor %s)",
+				tc.variant, len(got.Entries), got.Cursor, tc.canonical, len(want.Entries), want.Cursor)
+		}
+		for i := range want.Entries {
+			if got.Entries[i].Seq != want.Entries[i].Seq {
+				t.Fatalf("under=%s entry %d: seq %d, want %d", tc.variant, i, got.Entries[i].Seq, want.Entries[i].Seq)
+			}
+		}
+	}
+}
+
+// getHTML fetches the HTML report at url and returns its body.
+func getHTML(t *testing.T, url string) string {
+	t.Helper()
+	resp := get(t, url, nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: status = %d", url, resp.StatusCode)
+	}
+	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/html") {
+		t.Fatalf("GET %s: content type = %s", url, ct)
+	}
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(body)
+}
+
+// dashboardRows counts the anomaly rows of a rendered report (every
+// table row but the header).
+func dashboardRows(html string) int { return strings.Count(html, "<tr>") - 1 }
+
+func TestDashboardFiltering(t *testing.T) {
+	cfg := testConfig()
+	cfg.History = []tiresias.Anomaly{
+		{Key: tiresias.KeyOf([]string{"vho1"}), Depth: 1, Instance: 1, Actual: 30, Forecast: 2},
+		{Key: tiresias.KeyOf([]string{"vho2"}), Depth: 1, Instance: 2, Actual: 30, Forecast: 2},
+	}
+	_, ts := newTestServer(t, cfg)
+
+	html := getHTML(t, ts.URL+"/")
+	if n := dashboardRows(html); n != 2 || !strings.Contains(html, "<td>"+api.DefaultStream+"</td>") {
+		t.Fatalf("unfiltered report shows %d rows:\n%s", n, html)
+	}
+	for _, under := range []string{"vho1", "vho1/"} {
+		html := getHTML(t, ts.URL+"/?under="+under)
+		if dashboardRows(html) != 1 || strings.Contains(html, "vho2") {
+			t.Fatalf("under=%s: report must show only vho1:\n%s", under, html)
+		}
+	}
+	if html := getHTML(t, ts.URL+"/?stream=other"); dashboardRows(html) != 0 {
+		t.Fatalf("stream filter leaked rows:\n%s", html)
+	}
+	if html := getHTML(t, ts.URL+"/?limit=1"); dashboardRows(html) != 1 || !strings.Contains(html, "vho2") {
+		t.Fatalf("limit=1 must keep the newest row:\n%s", html)
+	}
+	// /v2/anomalies serves the same entries as JSON.
+	var p api.AnomaliesPage
+	get(t, ts.URL+"/v2/anomalies?under=vho1", &p)
+	if len(p.Entries) != 1 || p.Entries[0].Stream != api.DefaultStream {
+		t.Fatalf("/v2/anomalies?under=vho1 = %+v", p.Entries)
+	}
+}
+
+func TestDashboardBadQuery(t *testing.T) {
+	_, ts := newTestServer(t, testConfig())
+	for _, bad := range []string{"?from=xyz", "?to=12", "?limit=ten", "?limit=0", "?cursor=zzz!"} {
+		resp := get(t, ts.URL+"/"+bad, nil)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status = %d, want 400", bad, resp.StatusCode)
+		}
+		if e := decodeError(t, resp); e.Code != api.CodeBadRequest {
+			t.Fatalf("%s: code = %q", bad, e.Code)
+		}
+	}
+}
+
+// TestServerMemoryBoundedByIndexCap pins the server's anomaly memory
+// to Config.IndexCap: live detections and loaded history alike land
+// in the bounded index, and nothing else keeps them.
+func TestServerMemoryBoundedByIndexCap(t *testing.T) {
+	const indexCap = 8
+	cfg := testConfig()
+	cfg.IndexCap = indexCap
+	_, ts := newTestServer(t, cfg)
+	for i := 0; i < 2*indexCap; i++ {
+		resp := post(t, ts.URL+"/v2/records", "application/x-ndjson", ndjsonBody(fmt.Sprintf("s%d", i), 30), nil)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("ingest status = %d", resp.StatusCode)
+		}
+	}
+	var st api.StatsResponse
+	get(t, ts.URL+"/v2/stats", &st)
+	if st.Index.Added <= indexCap {
+		t.Fatalf("only %d anomalies detected; the test needs more than %d", st.Index.Added, indexCap)
+	}
+	if st.StoreLen > indexCap || st.Index.Len > indexCap {
+		t.Fatalf("storeLen = %d, index len = %d after %d anomalies; want <= %d",
+			st.StoreLen, st.Index.Len, st.Index.Added, indexCap)
+	}
+	if n := dashboardRows(getHTML(t, ts.URL+"/")); n > indexCap {
+		t.Fatalf("dashboard shows %d rows, want <= %d", n, indexCap)
+	}
+
+	hist := make([]tiresias.Anomaly, 3*indexCap)
+	for i := range hist {
+		hist[i] = tiresias.Anomaly{Key: tiresias.KeyOf([]string{"vho1"}), Depth: 1, Instance: i}
+	}
+	cfg.History = hist
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if ix := s.statsSnapshot().Index; ix.Len != indexCap || ix.Evicted != uint64(len(hist)-indexCap) {
+		t.Fatalf("history of %d into cap %d: index = %+v", len(hist), indexCap, ix)
 	}
 }
 

@@ -2,11 +2,12 @@ package report
 
 import (
 	"html/template"
-	"net/http"
+	"io"
+	"net/url"
 	"sort"
 	"time"
 
-	"tiresias/internal/detect"
+	"tiresias/internal/store"
 )
 
 // dashboardTmpl renders the operator-facing web report (Fig. 3(f)'s
@@ -29,19 +30,21 @@ form { margin-top: 1rem; }
 </head>
 <body>
 <h1>Tiresias anomaly report</h1>
-<p class="summary">{{.Total}} anomalies stored; showing {{len .Anomalies}}.
+<p class="summary">{{.Retained}} anomalies retained; showing {{len .Rows}}, newest first.
 Depth histogram: {{range .Depths}}[depth {{.Depth}}: {{.Count}}] {{end}}</p>
 <form method="get" action="/">
-  subtree <input name="under" value="{{.Under}}" placeholder="vho1/io2">
-  from <input name="from" value="{{.From}}" size="6">
-  to <input name="to" value="{{.To}}" size="6">
-  limit <input name="limit" value="{{.Limit}}" size="4">
+  stream <input name="stream" value="{{.Form.Get "stream"}}" size="8">
+  subtree <input name="under" value="{{.Form.Get "under"}}" placeholder="vho1/io2">
+  from <input name="from" value="{{.Form.Get "from"}}" placeholder="RFC 3339">
+  to <input name="to" value="{{.Form.Get "to"}}" placeholder="RFC 3339">
+  limit <input name="limit" value="{{.Form.Get "limit"}}" size="4">
   <button>query</button>
 </form>
 <table>
-<tr><th>Instance</th><th>Time</th><th>Location</th><th>Depth</th><th>Actual</th><th>Forecast</th><th>Ratio</th></tr>
-{{range .Anomalies}}
+<tr><th>Stream</th><th>Instance</th><th>Time</th><th>Location</th><th>Depth</th><th>Actual</th><th>Forecast</th><th>Ratio</th></tr>
+{{range .Rows}}
 <tr>
+  <td>{{.Stream}}</td>
   <td>{{.Instance}}</td>
   <td>{{.TimeStr}}</td>
   <td>{{.Location}}</td>
@@ -56,6 +59,7 @@ Depth histogram: {{range .Depths}}[depth {{.Depth}}: {{.Count}}] {{end}}</p>
 </html>`))
 
 type dashboardRow struct {
+	Stream   string
 	Instance int
 	TimeStr  string
 	Location string
@@ -70,70 +74,43 @@ type depthCount struct {
 }
 
 type dashboardData struct {
-	Total     int
-	Under     string
-	From, To  string
-	Limit     string
-	Depths    []depthCount
-	Anomalies []dashboardRow
+	Retained int
+	Form     url.Values
+	Depths   []depthCount
+	Rows     []dashboardRow
 }
 
-// DashboardHandler returns an http.Handler serving the HTML report at
-// "/" alongside the JSON API of Handler.
-func (s *Store) DashboardHandler() http.Handler {
-	mux := http.NewServeMux()
-	api, ok := s.Handler().(*http.ServeMux)
-	if ok {
-		mux.Handle("GET /anomalies", api)
-		mux.Handle("GET /stats", api)
+// WriteDashboard renders the HTML report of the given index entries,
+// in the order given. retained is the index occupancy shown in the
+// summary line, and form is the query echoed back into the form
+// fields (stream, under, from, to, limit).
+func WriteDashboard(w io.Writer, entries []store.Entry, retained int, form url.Values) error {
+	data := dashboardData{Retained: retained, Form: form}
+	depths := make(map[int]int)
+	for _, e := range entries {
+		depths[e.Depth]++
+		data.Rows = append(data.Rows, toRow(e))
 	}
-	mux.HandleFunc("GET /{$}", func(w http.ResponseWriter, r *http.Request) {
-		q, err := parseQuery(r)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		if q.Limit <= 0 {
-			q.Limit = 200
-		}
-		anoms := s.Query(q)
-		data := dashboardData{
-			Total: s.Len(),
-			Under: r.URL.Query().Get("under"),
-			From:  r.URL.Query().Get("from"),
-			To:    r.URL.Query().Get("to"),
-			Limit: r.URL.Query().Get("limit"),
-		}
-		depths := make(map[int]int)
-		for _, a := range anoms {
-			depths[a.Depth]++
-			data.Anomalies = append(data.Anomalies, toRow(a))
-		}
-		for d, c := range depths {
-			data.Depths = append(data.Depths, depthCount{Depth: d, Count: c})
-		}
-		sort.Slice(data.Depths, func(i, j int) bool { return data.Depths[i].Depth < data.Depths[j].Depth })
-		w.Header().Set("Content-Type", "text/html; charset=utf-8")
-		if err := dashboardTmpl.Execute(w, data); err != nil {
-			// Headers already sent; nothing recoverable.
-			return
-		}
-	})
-	return mux
+	for d, c := range depths {
+		data.Depths = append(data.Depths, depthCount{Depth: d, Count: c})
+	}
+	sort.Slice(data.Depths, func(i, j int) bool { return data.Depths[i].Depth < data.Depths[j].Depth })
+	return dashboardTmpl.Execute(w, data)
 }
 
-func toRow(a detect.Anomaly) dashboardRow {
+func toRow(e store.Entry) dashboardRow {
 	ts := ""
-	if !a.Time.IsZero() {
-		ts = a.Time.Format(time.RFC3339)
+	if !e.Time.IsZero() {
+		ts = e.Time.Format(time.RFC3339)
 	}
 	return dashboardRow{
-		Instance: a.Instance,
+		Stream:   e.Stream,
+		Instance: e.Instance,
 		TimeStr:  ts,
-		Location: a.Key.String(),
-		Depth:    a.Depth,
-		Actual:   a.Actual,
-		Forecast: a.Forecast,
-		Ratio:    a.Score(),
+		Location: e.Key.String(),
+		Depth:    e.Depth,
+		Actual:   e.Actual,
+		Forecast: e.Forecast,
+		Ratio:    e.Score(),
 	}
 }

@@ -1,87 +1,38 @@
 package report
 
 import (
-	"io"
-	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
 	"time"
 
 	"tiresias/internal/detect"
+	"tiresias/internal/store"
 )
 
 func TestDashboardRendersAnomalies(t *testing.T) {
-	s := NewStore()
-	s.Add(
-		detect.Anomaly{Key: key("vho1", "io2"), Depth: 2, Instance: 12, Actual: 42, Forecast: 4,
-			Time: time.Date(2010, 9, 14, 10, 0, 0, 0, time.UTC)},
-		detect.Anomaly{Key: key("vho2"), Depth: 1, Instance: 20, Actual: 15, Forecast: 10},
-	)
-	srv := httptest.NewServer(s.DashboardHandler())
-	defer srv.Close()
-
-	resp, err := srv.Client().Get(srv.URL + "/")
-	if err != nil {
+	entries := []store.Entry{
+		{Seq: 2, Stream: "ccd", Anomaly: detect.Anomaly{Key: key("vho1", "io2"), Depth: 2, Instance: 12, Actual: 42, Forecast: 4,
+			Time: time.Date(2010, 9, 14, 10, 0, 0, 0, time.UTC)}},
+		{Seq: 1, Stream: "scd", Anomaly: detect.Anomaly{Key: key("vho2"), Depth: 1, Instance: 20, Actual: 15, Forecast: 10}},
+	}
+	var b strings.Builder
+	if err := WriteDashboard(&b, entries, 7, url.Values{"under": {"vho<1>"}}); err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != 200 {
-		t.Fatalf("status = %d", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/html") {
-		t.Fatalf("content type = %s", ct)
-	}
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	html := string(body)
-	for _, want := range []string{"vho1/io2", "10.5x", "2010-09-14T10:00:00Z", "depth 1: 1", "depth 2: 1"} {
+	html := b.String()
+	for _, want := range []string{
+		"<th>Stream</th>", "<td>ccd</td>", "<td>scd</td>",
+		"vho1/io2", "10.5x", "2010-09-14T10:00:00Z", "depth 1: 1", "depth 2: 1",
+		"7 anomalies retained; showing 2",
+		`value="vho&lt;1&gt;"`, // the echoed query is escaped
+	} {
 		if !strings.Contains(html, want) {
 			t.Fatalf("dashboard missing %q:\n%s", want, html)
 		}
 	}
-}
-
-func TestDashboardFiltering(t *testing.T) {
-	s := NewStore()
-	s.Add(
-		detect.Anomaly{Key: key("vho1"), Depth: 1, Instance: 1, Actual: 30, Forecast: 2},
-		detect.Anomaly{Key: key("vho2"), Depth: 1, Instance: 2, Actual: 30, Forecast: 2},
-	)
-	srv := httptest.NewServer(s.DashboardHandler())
-	defer srv.Close()
-
-	resp, err := srv.Client().Get(srv.URL + "/?under=vho1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
-	if strings.Contains(string(body), "vho2") {
-		t.Fatal("filtered dashboard must not show vho2")
-	}
-	// JSON API stays reachable alongside the dashboard.
-	resp2, err := srv.Client().Get(srv.URL + "/anomalies?limit=1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp2.Body.Close()
-	if resp2.StatusCode != 200 {
-		t.Fatalf("API status = %d", resp2.StatusCode)
-	}
-}
-
-func TestDashboardBadQuery(t *testing.T) {
-	s := NewStore()
-	srv := httptest.NewServer(s.DashboardHandler())
-	defer srv.Close()
-	resp, err := srv.Client().Get(srv.URL + "/?from=xyz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != 400 {
-		t.Fatalf("status = %d, want 400", resp.StatusCode)
+	// Rows keep the caller's order.
+	if strings.Index(html, "<td>ccd</td>") > strings.Index(html, "<td>scd</td>") {
+		t.Fatal("rows reordered")
 	}
 }
