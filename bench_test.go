@@ -11,13 +11,11 @@ package tiresias_test
 
 import (
 	"testing"
-	"time"
 
 	"tiresias/internal/algo"
 	"tiresias/internal/experiments"
 	"tiresias/internal/forecast"
 	"tiresias/internal/perfbench"
-	"tiresias/internal/stream"
 )
 
 // benchProfile is sized so each experiment iteration is milliseconds
@@ -118,14 +116,16 @@ func BenchmarkManagerFeed(b *testing.B) { perfbench.ManagerFeed(b) }
 // parallelism.
 func BenchmarkManagerFeedPipelined(b *testing.B) { perfbench.ManagerFeedPipelined(b) }
 
-// BenchmarkADAStepMap measures the same instance entering through the
-// compatibility map-form Step (per-unit Key interning included).
+// BenchmarkADAStepMap measures the same instance entering in map form
+// through the map→dense adapter, as ProcessUnit does (per-unit Key
+// sorting and interning included).
 func BenchmarkADAStepMap(b *testing.B) {
 	e, units := stepWorkload(b, "ADA")
+	var du algo.DenseUnit
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Step(units[i%len(units)]); err != nil {
+		if _, err := e.Step(du.Load(e.Tree(), units[i%len(units)])); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -155,7 +155,7 @@ func stepWorkload(b *testing.B, name string) (algo.Engine, []algo.Timeunit) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := e.Init(w.Units[:p.WarmUnits]); err != nil {
+	if _, err := e.Init(algo.Units(e.Tree(), w.Units[:p.WarmUnits])); err != nil {
 		b.Fatal(err)
 	}
 	return e, w.Units[p.WarmUnits:]
@@ -203,28 +203,3 @@ func BenchmarkDualSeasonUpdate(b *testing.B) {
 // BenchmarkWindowerObserve measures Step-1 record classification on
 // the dense path (path interning plus pooled dense units).
 func BenchmarkWindowerObserve(b *testing.B) { perfbench.WindowerObserve(b) }
-
-// BenchmarkWindowerObserveMap measures the compatibility map path
-// (per-record Key construction, map-form timeunits).
-func BenchmarkWindowerObserveMap(b *testing.B) {
-	p := benchProfile()
-	w, err := experiments.CCDNetWorkload(p, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	recs := w.Dataset.Records
-	b.ReportAllocs()
-	b.ResetTimer()
-	var win *stream.Windower
-	for i := 0; i < b.N; i++ {
-		if i%len(recs) == 0 {
-			win, err = stream.NewWindower(time.Minute)
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		if _, err := win.Observe(recs[i%len(recs)]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -12,6 +12,7 @@ import (
 	"io"
 	"io/fs"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -293,8 +294,16 @@ func (m *Manager) Checkpoint(dir string) (int, error) {
 			sh := &m.shards[i]
 			sh.mu.Lock()
 			defer sh.mu.Unlock()
+			// Streams are written in name order so a generation's file
+			// layout is as deterministic as each file's bytes.
+			names := make([]string, 0, len(sh.streams))
+			for name := range sh.streams {
+				names = append(names, name)
+			}
+			sort.Strings(names)
 			seq := 0
-			for name, ms := range sh.streams {
+			for _, name := range names {
+				ms := sh.streams[name]
 				if ms.quarantined {
 					continue
 				}

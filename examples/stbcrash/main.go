@@ -82,10 +82,10 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if _, err := ada.Init(units[:warm]); err != nil {
+	if _, err := ada.Init(algo.Units(ada.Tree(), units[:warm])); err != nil {
 		return err
 	}
-	if _, err := sta.Init(units[:warm]); err != nil {
+	if _, err := sta.Init(algo.Units(sta.Tree(), units[:warm])); err != nil {
 		return err
 	}
 	det, err := detect.New(detect.Thresholds{RT: 2.0, DT: 15})
@@ -94,12 +94,13 @@ func run() error {
 	}
 	var found bool
 	var errSum, refSum float64
+	var du algo.DenseUnit
 	for i, u := range units[warm:] {
-		stA, err := ada.Step(u)
+		stA, err := ada.Step(du.Load(ada.Tree(), u))
 		if err != nil {
 			return err
 		}
-		if _, err := sta.Step(u); err != nil {
+		if _, err := sta.Step(du.Load(sta.Tree(), u)); err != nil {
 			return err
 		}
 		for _, a := range det.Scan(stA, time.Time{}) {

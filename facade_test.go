@@ -3,6 +3,7 @@ package tiresias
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -371,5 +372,71 @@ func TestConfiguredSmoothingHonoredWithoutSeasonality(t *testing.T) {
 		if !found {
 			t.Fatalf("spike unit %d not flagged: the configured α=0.1 was not honored", unit)
 		}
+	}
+}
+
+// TestMapPathDeterministic runs the map-form facade (Collect → Warmup
+// → ProcessUnit) twice on identical input and requires bit-identical
+// output: the same heavy hitters in the same order and the same
+// anomalies down to the float64 bits. The map adapter must intern
+// unseen keys in a fixed (sorted Key) order; Go's randomized map
+// iteration order would otherwise give the two runs different node
+// IDs, sibling orders, and float summation orders.
+func TestMapPathDeterministic(t *testing.T) {
+	ds, err := gen.Generate(gen.Config{
+		Shape:           gen.Shape{Degrees: []int{4, 5, 6}, LevelPrefix: []string{"v", "c", "d"}},
+		Start:           start(),
+		Units:           72,
+		Delta:           15 * time.Minute,
+		BaseRate:        120,
+		DiurnalStrength: 0.5,
+		ZipfS:           1.0,
+		Seed:            5,
+		Anomalies: []gen.AnomalySpec{
+			{Path: []string{"v1", "c2"}, StartUnit: 56, EndUnit: 60, ExtraPerUnit: 300},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type trace struct {
+		hhs   [][]Key
+		anoms []Anomaly
+	}
+	run := func() trace {
+		units, first, err := Collect(NewSliceSource(ds.Records), 15*time.Minute)
+		if err != nil {
+			t.Fatal(err)
+		}
+		det, err := New(WithWindowLen(48), WithTheta(6), WithSeasonality(1.0, 8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := det.Warmup(units[:48], first); err != nil {
+			t.Fatal(err)
+		}
+		var tr trace
+		for _, u := range units[48:] {
+			sr, err := det.ProcessUnit(u)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr.hhs = append(tr.hhs, det.HeavyHitters())
+			tr.anoms = append(tr.anoms, sr.Anomalies...)
+		}
+		return tr
+	}
+	want := run()
+	if len(want.anoms) == 0 {
+		t.Fatal("workload produced no anomalies; the comparison would be vacuous")
+	}
+	for rep := 0; rep < 3; rep++ {
+		got := run()
+		for i := range want.hhs {
+			if fmt.Sprint(got.hhs[i]) != fmt.Sprint(want.hhs[i]) {
+				t.Fatalf("run %d unit %d: heavy hitters %v, want %v", rep, i, got.hhs[i], want.hhs[i])
+			}
+		}
+		sameAnomalies(t, fmt.Sprintf("run %d", rep), want.anoms, got.anoms)
 	}
 }

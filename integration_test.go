@@ -137,18 +137,19 @@ func TestADATracksSTAOverLongRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ada.Init(units[:48]); err != nil {
+	if _, err := ada.Init(algo.Units(ada.Tree(), units[:48])); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sta.Init(units[:48]); err != nil {
+	if _, err := sta.Init(algo.Units(sta.Tree(), units[:48])); err != nil {
 		t.Fatal(err)
 	}
+	var du algo.DenseUnit
 	for i, u := range units[48:] {
-		stA, err := ada.Step(u)
+		stA, err := ada.Step(du.Load(ada.Tree(), u))
 		if err != nil {
 			t.Fatal(err)
 		}
-		stS, err := sta.Step(u)
+		stS, err := sta.Step(du.Load(sta.Tree(), u))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -229,12 +230,13 @@ func TestReferenceMethodBlindSpot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ada.Init(units[:warm]); err != nil {
+	if _, err := ada.Init(algo.Units(ada.Tree(), units[:warm])); err != nil {
 		t.Fatal(err)
 	}
 	tiresiasHit := false
+	var du algo.DenseUnit
 	for i, u := range units[warm:] {
-		st, err := ada.Step(u)
+		st, err := ada.Step(du.Load(ada.Tree(), u))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -26,7 +26,7 @@ type nodeSeries struct {
 // The per-instance hot path is flat: traversals iterate the tree's CSR
 // ID orders, the timeunit is consumed in dense (node-ID) form, and all
 // scratch — including the returned StepState — is reused across
-// instances, so a steady-state StepDense performs zero allocations.
+// instances, so a steady-state Step performs zero allocations.
 type ADA struct {
 	cfg      Config
 	tree     *hierarchy.Tree
@@ -59,7 +59,6 @@ type ADA struct {
 	refCovered int // tree size when reference coverage was last ensured
 
 	// Reusable scratch and pools for the steady-state step.
-	du        DenseUnit     // dense form of map-based Step input
 	snap      StepState     // returned by snapshot, reused every instance
 	members   []int32       // current SHHH member IDs, ascending
 	freeNS    []*nodeSeries // pooled series holders (rings attached)
@@ -116,32 +115,23 @@ func (a *ADA) grow() {
 // Init implements Engine: the first time instance performs the same
 // work as STA (lines 2-5 of Fig. 5), seeding series and models for the
 // initial SHHH set, the root, and the reference nodes.
-func (a *ADA) Init(window []Timeunit) (*StepState, error) {
+func (a *ADA) Init(window []shhh.Unit) (*StepState, error) {
 	if a.inited {
 		return nil, errState
 	}
 	a.inited = true
 
 	start := now()
-	// Materialize the tree and per-unit counts.
-	units := make([]Timeunit, 0, a.cfg.WindowLen)
-	for _, u := range window {
-		cp := make(Timeunit, len(u))
-		for k, v := range u {
-			cp[k] = v
-			a.tree.InsertKey(k)
-		}
-		units = append(units, cp)
-		if len(units) > a.cfg.WindowLen {
-			units = units[1:]
-		}
+	units := window
+	if len(units) > a.cfg.WindowLen {
+		units = units[len(units)-a.cfg.WindowLen:]
 	}
 	if len(units) == 0 {
-		units = append(units, Timeunit{})
+		units = []shhh.Unit{{}}
 	}
 	a.grow()
 	newest := units[len(units)-1]
-	res := shhh.Compute(a.tree, newest, a.cfg.Theta)
+	res := shhh.ComputeInto(a.tree, newest, a.cfg.Theta, nil)
 	copy(a.weight, res.W)
 	copy(a.rawA, res.A)
 	copy(a.ishh, res.InSet)
@@ -311,34 +301,16 @@ func (a *ADA) ruleX(id int) float64 {
 	}
 }
 
-// Step implements Engine: lines 6-29 of Fig. 5. The map-form timeunit
-// is interned into a reused dense scratch unit and handed to the flat
-// core.
-func (a *ADA) Step(u Timeunit) (*StepState, error) {
+// Step implements Engine: lines 6-29 of Fig. 5 as the flat
+// per-instance core. Every traversal is a loop over the tree's CSR ID
+// orders; in the steady state (no tree growth, no membership change)
+// it allocates nothing.
+//
+//tiresias:hotpath
+func (a *ADA) Step(u *DenseUnit) (*StepState, error) {
 	if !a.inited {
 		return nil, errState
 	}
-	a.du.Reset()
-	a.du.AddTimeunit(a.tree, u)
-	return a.stepDense(&a.du)
-}
-
-// StepDense implements Engine.
-//
-//tiresias:hotpath
-func (a *ADA) StepDense(u *DenseUnit) (*StepState, error) {
-	if !a.inited {
-		return nil, errState
-	}
-	return a.stepDense(u)
-}
-
-// stepDense is the flat per-instance core. Every traversal is a loop
-// over the tree's CSR ID orders; in the steady state (no tree growth,
-// no membership change) it allocates nothing.
-//
-//tiresias:hotpath
-func (a *ADA) stepDense(u *DenseUnit) (*StepState, error) {
 	a.instance++
 
 	// --- Initialization stage (lines 6-12). ---

@@ -24,7 +24,9 @@ import (
 	"tiresias/internal/shhh"
 )
 
-// Timeunit holds the direct category counts of one timeunit.
+// Timeunit holds the direct category counts of one timeunit keyed by
+// category Key: the map form of the public API. Engines consume the
+// dense forms (DenseUnit, shhh.Unit); Load and Units convert.
 type Timeunit = shhh.Counts
 
 // SplitRule selects how ADA's SPLIT apportions a parent's time series
@@ -199,26 +201,27 @@ func (m MemoryStats) Normalized() float64 {
 
 // Engine is the common interface of STA and ADA.
 //
-// Ownership: the *StepState returned by Init, Step, and StepDense —
-// including its HeavyHitters slice — is owned by the engine and only
-// valid until the next Init/Step/StepDense call (engines reuse it so
-// the steady-state step allocates nothing). Callers that retain a
-// state across steps must copy what they need.
+// Ownership: the *StepState returned by Init and Step — including its
+// HeavyHitters slice — is owned by the engine and only valid until the
+// next Init/Step call (engines reuse it so the steady-state step
+// allocates nothing). Callers that retain a state across steps must
+// copy what they need.
+//
+// Timeunits reach an engine in dense node-ID form only: every ID must
+// have been interned into the engine's tree (share one via
+// Config.Tree). Map-form timeunits convert through DenseUnit.Load and
+// Units.
 type Engine interface {
 	// Name identifies the engine ("STA" or "ADA").
 	Name() string
 	// Init consumes the first time instance: the initial window of
-	// ℓ timeunits (oldest first). Must be called exactly once,
-	// before Step.
-	Init(window []Timeunit) (*StepState, error)
-	// Step advances one time instance with the newest timeunit.
-	Step(u Timeunit) (*StepState, error)
-	// StepDense is Step for a timeunit already in dense node-ID form.
-	// The IDs must have been interned into the engine's tree (share
-	// one via Config.Tree); the caller keeps ownership of u and may
-	// reset it after the call. This is the allocation-free hot path
-	// used by the streaming front end.
-	StepDense(u *DenseUnit) (*StepState, error)
+	// up to ℓ compact timeunits (oldest first; a longer window keeps
+	// its newest ℓ). The engine does not retain the caller's units.
+	// Must be called exactly once, before Step.
+	Init(window []shhh.Unit) (*StepState, error)
+	// Step advances one time instance with the newest timeunit. The
+	// caller keeps ownership of u and may reset it after the call.
+	Step(u *DenseUnit) (*StepState, error)
 	// Tree exposes the engine's hierarchy (grown dynamically).
 	Tree() *hierarchy.Tree
 	// ExportState snapshots the engine's full dynamic state for the

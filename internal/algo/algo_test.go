@@ -14,6 +14,17 @@ import (
 // key is a test helper building a Key from components.
 func key(parts ...string) hierarchy.Key { return hierarchy.KeyOf(parts) }
 
+// initMap and stepMap drive an engine with map-form timeunits through
+// the map→dense adapter (Units / DenseUnit.Load).
+func initMap(e Engine, window []Timeunit) (*StepState, error) {
+	return e.Init(Units(e.Tree(), window))
+}
+
+func stepMap(e Engine, u Timeunit) (*StepState, error) {
+	var du DenseUnit
+	return e.Step(du.Load(e.Tree(), u))
+}
+
 // randomStream produces nUnits timeunits over a random 3-level
 // universe, with bursty node popularity that shifts over time so heavy
 // hitters move around the hierarchy (the regime ADA must survive).
@@ -82,16 +93,16 @@ func TestEngineLifecycle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := e.Step(Timeunit{}); err == nil {
+		if _, err := stepMap(e, Timeunit{}); err == nil {
 			t.Fatalf("%s: Step before Init must fail", e.Name())
 		}
-		if _, err := e.Init(nil); err != nil {
+		if _, err := initMap(e, nil); err != nil {
 			t.Fatalf("%s: Init(nil): %v", e.Name(), err)
 		}
-		if _, err := e.Init(nil); err == nil {
+		if _, err := initMap(e, nil); err == nil {
 			t.Fatalf("%s: second Init must fail", e.Name())
 		}
-		if _, err := e.Step(Timeunit{}); err != nil {
+		if _, err := stepMap(e, Timeunit{}); err != nil {
 			t.Fatalf("%s: Step after Init: %v", e.Name(), err)
 		}
 	}
@@ -133,11 +144,11 @@ func TestLemma1HeavyHitterSetsAgree(t *testing.T) {
 			return false
 		}
 		warm := 8
-		stA, err := ada.Init(units[:warm])
+		stA, err := initMap(ada, units[:warm])
 		if err != nil {
 			return false
 		}
-		stS, err := sta.Init(units[:warm])
+		stS, err := initMap(sta, units[:warm])
 		if err != nil {
 			return false
 		}
@@ -145,11 +156,11 @@ func TestLemma1HeavyHitterSetsAgree(t *testing.T) {
 			return false
 		}
 		for _, u := range units[warm:] {
-			stA, err = ada.Step(u)
+			stA, err = stepMap(ada, u)
 			if err != nil {
 				return false
 			}
-			stS, err = sta.Step(u)
+			stS, err = stepMap(sta, u)
 			if err != nil {
 				return false
 			}
@@ -192,11 +203,11 @@ func TestNewestWeightsMatchDefinition(t *testing.T) {
 			engines = append(engines, s)
 		}
 		for _, e := range engines {
-			if _, err := e.Init(units[:8]); err != nil {
+			if _, err := initMap(e, units[:8]); err != nil {
 				return false
 			}
 			for _, u := range units[8:] {
-				st, err := e.Step(u)
+				st, err := stepMap(e, u)
 				if err != nil {
 					return false
 				}
@@ -230,7 +241,7 @@ func TestADASplitMovesSeriesDown(t *testing.T) {
 	for i := range warm {
 		warm[i] = Timeunit{key("p", "a"): 3, key("p", "b"): 3}
 	}
-	st, err := ada.Init(warm)
+	st, err := initMap(ada, warm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +251,7 @@ func TestADASplitMovesSeriesDown(t *testing.T) {
 	}
 	// Child a spikes to 9: a becomes heavy, p drops to 3 < θ and its
 	// residual merges into the root.
-	st, err = ada.Step(Timeunit{key("p", "a"): 9, key("p", "b"): 3})
+	st, err = stepMap(ada, Timeunit{key("p", "a"): 9, key("p", "b"): 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +291,7 @@ func TestADAMergeFoldsSeriesUp(t *testing.T) {
 	for i := range warm {
 		warm[i] = Timeunit{key("p", "a"): 6, key("p", "b"): 7}
 	}
-	st, err := ada.Init(warm)
+	st, err := initMap(ada, warm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +300,7 @@ func TestADAMergeFoldsSeriesUp(t *testing.T) {
 		t.Fatalf("warmup SHHH = %v, want both children", keys)
 	}
 	// Both children drop to 3: p aggregates 6 >= θ.
-	st, err = ada.Step(Timeunit{key("p", "a"): 3, key("p", "b"): 3})
+	st, err = stepMap(ada, Timeunit{key("p", "a"): 3, key("p", "b"): 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +341,7 @@ func TestADADeepSplitCascades(t *testing.T) {
 			key("g", "c2", "z"): 2,
 		}
 	}
-	st, err := ada.Init(warm)
+	st, err := initMap(ada, warm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +349,7 @@ func TestADADeepSplitCascades(t *testing.T) {
 		t.Fatalf("warmup SHHH = %v, want {g}", keys)
 	}
 	// Grandchild x spikes; c1's residual (2) and c2 (2) stay light.
-	st, err = ada.Step(Timeunit{
+	st, err = stepMap(ada, Timeunit{
 		key("g", "c1", "x"): 9,
 		key("g", "c1", "y"): 2,
 		key("g", "c2", "z"): 2,
@@ -370,11 +381,11 @@ func TestMassConservationAcrossAdaptation(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if _, err := ada.Init(units[:8]); err != nil {
+		if _, err := initMap(ada, units[:8]); err != nil {
 			return false
 		}
 		for _, u := range units[8:] {
-			st, err := ada.Step(u)
+			st, err := stepMap(ada, u)
 			if err != nil {
 				return false
 			}
@@ -421,19 +432,19 @@ func TestADASeriesCloseToSTA(t *testing.T) {
 	cfg := Config{Theta: 6, WindowLen: 12, Rule: LongTermHistory}
 	ada, _ := NewADA(cfg)
 	sta, _ := NewSTA(cfg)
-	if _, err := ada.Init(units[:12]); err != nil {
+	if _, err := initMap(ada, units[:12]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sta.Init(units[:12]); err != nil {
+	if _, err := initMap(sta, units[:12]); err != nil {
 		t.Fatal(err)
 	}
 	var sumErr, sumRef float64
 	for _, u := range units[12:] {
-		stA, err := ada.Step(u)
+		stA, err := stepMap(ada, u)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := sta.Step(u); err != nil {
+		if _, err := stepMap(sta, u); err != nil {
 			t.Fatal(err)
 		}
 		for _, hh := range stA.HeavyHitters {
@@ -493,19 +504,19 @@ func TestReferenceSeriesReduceSplitError(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ada.Init(units[:12]); err != nil {
+		if _, err := initMap(ada, units[:12]); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := sta.Init(units[:12]); err != nil {
+		if _, err := initMap(sta, units[:12]); err != nil {
 			t.Fatal(err)
 		}
 		var sumErr float64
 		for _, u := range units[12:] {
-			stA, err := ada.Step(u)
+			stA, err := stepMap(ada, u)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := sta.Step(u); err != nil {
+			if _, err := stepMap(sta, u); err != nil {
 				t.Fatal(err)
 			}
 			for _, hh := range stA.HeavyHitters {
@@ -532,17 +543,17 @@ func TestMemoryStatsADALessThanSTA(t *testing.T) {
 	cfg := Config{Theta: 6, WindowLen: 24}
 	ada, _ := NewADA(cfg)
 	sta, _ := NewSTA(cfg)
-	if _, err := ada.Init(units[:24]); err != nil {
+	if _, err := initMap(ada, units[:24]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sta.Init(units[:24]); err != nil {
+	if _, err := initMap(sta, units[:24]); err != nil {
 		t.Fatal(err)
 	}
 	for _, u := range units[24:] {
-		if _, err := ada.Step(u); err != nil {
+		if _, err := stepMap(ada, u); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := sta.Step(u); err != nil {
+		if _, err := stepMap(sta, u); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -574,11 +585,11 @@ func TestADAMultiScaleTracking(t *testing.T) {
 	for i := range warm {
 		warm[i] = Timeunit{key("a"): 4}
 	}
-	if _, err := ada.Init(warm); err != nil {
+	if _, err := initMap(ada, warm); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 8; i++ {
-		if _, err := ada.Step(Timeunit{key("a"): 4}); err != nil {
+		if _, err := stepMap(ada, Timeunit{key("a"): 4}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -600,7 +611,7 @@ func TestADAMultiScaleTracking(t *testing.T) {
 func TestSeriesOfUnknownNode(t *testing.T) {
 	cfg := defaultCfg()
 	ada, _ := NewADA(cfg)
-	if _, err := ada.Init([]Timeunit{{key("a"): 10}}); err != nil {
+	if _, err := initMap(ada, []Timeunit{{key("a"): 10}}); err != nil {
 		t.Fatal(err)
 	}
 	other := hierarchy.New().Insert([]string{"zzz"})
@@ -615,11 +626,11 @@ func TestHeavyHitterNodesOrdered(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	units := randomStream(rng, 12)
 	ada, _ := NewADA(Config{Theta: 4, WindowLen: 8})
-	if _, err := ada.Init(units[:8]); err != nil {
+	if _, err := initMap(ada, units[:8]); err != nil {
 		t.Fatal(err)
 	}
 	for _, u := range units[8:] {
-		if _, err := ada.Step(u); err != nil {
+		if _, err := stepMap(ada, u); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -13,6 +13,7 @@ import (
 
 	"tiresias/internal/forecast"
 	"tiresias/internal/series"
+	"tiresias/internal/shhh"
 )
 
 // RingState is the serializable form of a series.Ring: its capacity
@@ -69,15 +70,6 @@ type RefState struct {
 	Model forecast.State
 }
 
-// UnitState is the serializable form of one retained timeunit (STA's
-// window): touched dense node IDs with their direct counts.
-type UnitState struct {
-	// IDs lists the touched node IDs in ascending order.
-	IDs []int32
-	// Vals holds the direct count per entry of IDs.
-	Vals []float64
-}
-
 // EngineState is the full dynamic state of an engine, exported by
 // Engine.ExportState and consumed by Engine.ImportState on a fresh
 // engine with the same Config and hierarchy. ADA fills the per-node
@@ -110,7 +102,7 @@ type EngineState struct {
 	RefCovered int
 
 	// Window is STA's retained sliding window, oldest first.
-	Window []UnitState
+	Window []shhh.Unit
 }
 
 // ExportState implements Engine. The returned state deep-copies every
@@ -263,22 +255,10 @@ func (s *STA) ExportState() (*EngineState, error) {
 	st := &EngineState{
 		Kind:     s.Name(),
 		Instance: s.instance,
-		Window:   make([]UnitState, 0, len(s.window)),
+		Window:   make([]shhh.Unit, 0, len(s.window)),
 	}
 	for _, u := range s.window {
-		us := UnitState{IDs: make([]int32, 0, len(u)), Vals: make([]float64, 0, len(u))}
-		for k := range u {
-			n := s.tree.Lookup(k)
-			if n == nil {
-				return nil, fmt.Errorf("algo: window key %q missing from hierarchy", k)
-			}
-			us.IDs = append(us.IDs, int32(n.ID))
-		}
-		sort.Slice(us.IDs, func(i, j int) bool { return us.IDs[i] < us.IDs[j] })
-		for _, id := range us.IDs {
-			us.Vals = append(us.Vals, u[s.tree.Node(int(id)).Key])
-		}
-		st.Window = append(st.Window, us)
+		st.Window = append(st.Window, u.Clone())
 	}
 	return st, nil
 }
@@ -304,19 +284,12 @@ func (s *STA) ImportState(st *EngineState) (*StepState, error) {
 		return nil, fmt.Errorf("algo: checkpoint instance %d is negative", st.Instance)
 	}
 	n := s.tree.Len()
-	s.window = make([]Timeunit, 0, s.cfg.WindowLen)
+	s.window = make([]shhh.Unit, 0, s.cfg.WindowLen)
 	for _, us := range st.Window {
-		if len(us.IDs) != len(us.Vals) {
-			return nil, fmt.Errorf("algo: window unit has %d IDs, %d values", len(us.IDs), len(us.Vals))
+		if err := us.Validate(n); err != nil {
+			return nil, fmt.Errorf("algo: window %w", err)
 		}
-		u := make(Timeunit, len(us.IDs))
-		for i, id := range us.IDs {
-			if id < 0 || int(id) >= n {
-				return nil, fmt.Errorf("algo: window unit references node %d outside hierarchy of %d nodes", id, n)
-			}
-			u[s.tree.Node(int(id)).Key] += us.Vals[i]
-		}
-		s.window = append(s.window, u)
+		s.window = append(s.window, us.Clone())
 	}
 	s.instance = st.Instance
 	s.inited = true

@@ -1,7 +1,10 @@
 package algo
 
 import (
+	"slices"
+
 	"tiresias/internal/hierarchy"
+	"tiresias/internal/shhh"
 )
 
 // DenseUnit is the flat, ID-addressed form of a Timeunit: direct
@@ -61,18 +64,6 @@ func (u *DenseUnit) ValueAt(id int) float64 {
 	return 0
 }
 
-// Len returns the number of distinct touched IDs.
-func (u *DenseUnit) Len() int { return len(u.ids) }
-
-// Total returns the sum of all direct counts.
-func (u *DenseUnit) Total() float64 {
-	var s float64
-	for _, v := range u.vals {
-		s += v
-	}
-	return s
-}
-
 // IDs returns the touched IDs in insertion order. The slice is shared
 // with the unit; callers must not mutate or retain it past Reset.
 func (u *DenseUnit) IDs() []int32 { return u.ids }
@@ -87,20 +78,29 @@ func (u *DenseUnit) Reset() {
 	u.vals = u.vals[:0]
 }
 
-// MaxID returns the largest touched ID, or -1 for an empty unit.
-func (u *DenseUnit) MaxID() int {
-	max := -1
-	for _, id := range u.ids {
-		if int(id) > max {
-			max = int(id)
-		}
+// Unit returns the compact retained form of the unit: its touched IDs
+// in ascending order with their counts, in fresh arrays. It carries
+// none of the sparse position index, so retaining it costs
+// O(touched) whatever the largest touched ID.
+func (u *DenseUnit) Unit() shhh.Unit {
+	return u.appendUnit(shhh.Unit{})
+}
+
+// appendUnit writes the compact form of u into dst's arrays, reusing
+// their capacity.
+func (u *DenseUnit) appendUnit(dst shhh.Unit) shhh.Unit {
+	dst.IDs = append(dst.IDs[:0], u.ids...)
+	slices.Sort(dst.IDs)
+	dst.Vals = dst.Vals[:0]
+	for _, id := range dst.IDs {
+		dst.Vals = append(dst.Vals, u.ValueAt(int(id)))
 	}
-	return max
+	return dst
 }
 
 // Timeunit converts the unit to its map form, resolving IDs through
-// the tree that interned them. Used when dense units cross into the
-// map-based (warmup / compatibility) paths.
+// the tree that interned them. Used where dense units leave for the
+// public map-form API (Collect).
 func (u *DenseUnit) Timeunit(t *hierarchy.Tree) Timeunit {
 	out := make(Timeunit, len(u.ids))
 	for i, id := range u.ids {
@@ -109,11 +109,30 @@ func (u *DenseUnit) Timeunit(t *hierarchy.Tree) Timeunit {
 	return out
 }
 
-// AddTimeunit accumulates a map-form timeunit into the dense unit,
-// interning unseen keys into the tree. It is the bridge the map-based
-// Engine.Step entry points use to reach the dense core.
-func (u *DenseUnit) AddTimeunit(t *hierarchy.Tree, counts Timeunit) {
-	for k, v := range counts {
-		u.Add(t.InsertKey(k).ID, v)
+// Load is the map→dense adapter: it replaces u's contents with a
+// map-form timeunit, interning unseen keys into t in sorted Key order
+// (never in Go's randomized map order, so identical inputs always grow
+// identical trees), and returns u.
+func (u *DenseUnit) Load(t *hierarchy.Tree, counts Timeunit) *DenseUnit {
+	u.Reset()
+	keys := make([]hierarchy.Key, 0, len(counts))
+	for k := range counts {
+		keys = append(keys, k)
 	}
+	slices.Sort(keys)
+	for _, k := range keys {
+		u.Add(t.InsertKey(k).ID, counts[k])
+	}
+	return u
+}
+
+// Units converts map-form timeunits to compact units through Load, for
+// Engine.Init.
+func Units(t *hierarchy.Tree, units []Timeunit) []shhh.Unit {
+	out := make([]shhh.Unit, len(units))
+	var du DenseUnit
+	for i, m := range units {
+		out[i] = du.Load(t, m).Unit()
+	}
+	return out
 }

@@ -3,6 +3,7 @@ package algo
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"tiresias/internal/hierarchy"
@@ -23,17 +24,30 @@ func TestDenseUnitAccumulateReset(t *testing.T) {
 	if got := u.ValueAt(5); got != 0 {
 		t.Fatalf("ValueAt(5) = %v, want 0", got)
 	}
-	if u.Len() != 2 || u.Total() != 3.5 || u.MaxID() != 7 {
-		t.Fatalf("Len/Total/MaxID = %d/%v/%d", u.Len(), u.Total(), u.MaxID())
+	if c := u.Unit(); len(c.IDs) != 2 || c.Total() != 3.5 {
+		t.Fatalf("compact unit = %+v", c)
 	}
 	u.Reset()
-	if u.Len() != 0 || u.Total() != 0 || u.ValueAt(3) != 0 || u.MaxID() != -1 {
+	if c := u.Unit(); len(c.IDs) != 0 || c.Total() != 0 || u.ValueAt(3) != 0 {
 		t.Fatal("Reset did not clear the unit")
 	}
 	// Reuse after Reset must accumulate from scratch.
 	u.Add(3, 4)
 	if got := u.ValueAt(3); got != 4 {
 		t.Fatalf("ValueAt(3) after reuse = %v, want 4", got)
+	}
+	// The compact form lists IDs ascending whatever the insertion
+	// order, and shares no arrays with the pooled unit.
+	u.Add(9, 1)
+	u.Add(2, 5)
+	c := u.Unit()
+	if !reflect.DeepEqual(c, shhh.Unit{IDs: []int32{2, 3, 9}, Vals: []float64{5, 4, 1}}) {
+		t.Fatalf("compact unit = %+v, want IDs [2 3 9] Vals [5 4 1]", c)
+	}
+	u.Reset()
+	u.Add(1, 7)
+	if c.IDs[0] != 2 || c.Vals[0] != 5 {
+		t.Fatalf("compact unit changed after the pooled unit was reused: %+v", c)
 	}
 }
 
@@ -45,8 +59,7 @@ func TestDenseUnitTimeunitRoundTrip(t *testing.T) {
 		key("b"):      2,
 	}
 	var u DenseUnit
-	u.AddTimeunit(tree, src)
-	back := u.Timeunit(tree)
+	back := u.Load(tree, src).Timeunit(tree)
 	if len(back) != len(src) {
 		t.Fatalf("round trip has %d keys, want %d", len(back), len(src))
 	}
@@ -75,7 +88,7 @@ func denseFromRandom(rng *rand.Rand, tree *hierarchy.Tree, u *DenseUnit) Timeuni
 }
 
 // TestADADenseLemma1Agreement is the Lemma-1 check on the dense path:
-// after every StepDense, ADA's SHHH membership and newest modified
+// after every Step, ADA's SHHH membership and newest modified
 // weights must agree exactly with the reference shhh.Compute over the
 // same counts.
 func TestADADenseLemma1Agreement(t *testing.T) {
@@ -85,14 +98,14 @@ func TestADADenseLemma1Agreement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ada.Init([]Timeunit{{}}); err != nil {
+	if _, err := ada.Init(nil); err != nil {
 		t.Fatal(err)
 	}
 	var du DenseUnit
 	for step := 0; step < 300; step++ {
 		du.Reset()
 		m := denseFromRandom(rng, tree, &du)
-		st, err := ada.StepDense(&du)
+		st, err := ada.Step(&du)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,9 +126,10 @@ func TestADADenseLemma1Agreement(t *testing.T) {
 }
 
 // TestADADenseMatchesMapStep feeds the identical unit stream through
-// StepDense and through the map-form Step on two engines with the same
+// the map→dense adapter (DenseUnit.Load) and through record-style
+// interning (Tree.Intern + DenseUnit.Add) on two engines with the same
 // configuration, asserting bit-identical heavy hitters, actuals, and
-// forecasts — the dense path is a representation change, not an
+// forecasts — the adapter is a representation change, not an
 // algorithm change.
 func TestADADenseMatchesMapStep(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -143,10 +157,10 @@ func TestADADenseMatchesMapStep(t *testing.T) {
 		}
 	}
 	warm := []Timeunit{{key("a"): 8}, {key("a"): 7, key("b"): 2}}
-	if _, err := mapEng.Init(warm); err != nil {
+	if _, err := initMap(mapEng, warm); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := denseEng.Init(warm); err != nil {
+	if _, err := initMap(denseEng, warm); err != nil {
 		t.Fatal(err)
 	}
 	var du DenseUnit
@@ -157,13 +171,13 @@ func TestADADenseMatchesMapStep(t *testing.T) {
 			path := []string{fmt.Sprintf("p%d", rng.Intn(3)), fmt.Sprintf("c%d", rng.Intn(4))}
 			v := float64(1 + rng.Intn(7))
 			m[hierarchy.KeyOf(path)] += v
+			du.Add(denseTree.Intern(path), v)
 		}
-		du.AddTimeunit(denseTree, m)
-		stM, err := mapEng.Step(m)
+		stM, err := stepMap(mapEng, m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		stD, err := denseEng.StepDense(&du)
+		stD, err := denseEng.Step(&du)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -183,10 +197,10 @@ func TestADADenseMatchesMapStep(t *testing.T) {
 	}
 }
 
-// TestADAStepDenseSteadyStateAllocs is the allocation guard of the
-// tentpole: once membership has stabilized, a StepDense performs zero
+// TestADAStepSteadyStateAllocs is the allocation guard of the
+// dense hot path: once membership has stabilized, a Step performs zero
 // allocations.
-func TestADAStepDenseSteadyStateAllocs(t *testing.T) {
+func TestADAStepSteadyStateAllocs(t *testing.T) {
 	tree := hierarchy.New()
 	ada, err := NewADA(Config{Theta: 4, WindowLen: 32, RefLevels: 2, Tree: tree})
 	if err != nil {
@@ -209,24 +223,24 @@ func TestADAStepDenseSteadyStateAllocs(t *testing.T) {
 			du.Add(id, 6) // every touched node individually heavy: stable membership
 		}
 	}
-	if _, err := ada.Init([]Timeunit{{}}); err != nil {
+	if _, err := ada.Init(nil); err != nil {
 		t.Fatal(err)
 	}
 	// Let membership, pools, and scratch capacities settle.
 	for i := 0; i < 50; i++ {
 		fill()
-		if _, err := ada.StepDense(&du); err != nil {
+		if _, err := ada.Step(&du); err != nil {
 			t.Fatal(err)
 		}
 	}
 	allocs := testing.AllocsPerRun(200, func() {
 		fill()
-		if _, err := ada.StepDense(&du); err != nil {
+		if _, err := ada.Step(&du); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("steady-state StepDense allocates %.2f per op, want 0", allocs)
+		t.Fatalf("steady-state Step allocates %.2f per op, want 0", allocs)
 	}
 	// Sanity: the engine is actually tracking the heavy hitters.
 	if got := len(ada.HeavyHitterNodes()); got == 0 {

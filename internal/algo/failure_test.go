@@ -20,7 +20,7 @@ func TestADASurvivesTotalSilence(t *testing.T) {
 	for i := range warm {
 		warm[i] = Timeunit{key("a", "x"): 7, key("b", "y"): 6}
 	}
-	if _, err := ada.Init(warm); err != nil {
+	if _, err := initMap(ada, warm); err != nil {
 		t.Fatal(err)
 	}
 	// The stream goes completely dark. All heavy hitters must decay
@@ -28,7 +28,7 @@ func TestADASurvivesTotalSilence(t *testing.T) {
 	// end empty.
 	var last *StepState
 	for i := 0; i < 12; i++ {
-		last, err = ada.Step(Timeunit{})
+		last, err = stepMap(ada, Timeunit{})
 		if err != nil {
 			t.Fatalf("silent step %d: %v", i, err)
 		}
@@ -37,7 +37,7 @@ func TestADASurvivesTotalSilence(t *testing.T) {
 		t.Fatalf("SHHH after silence = %d members, want 0", len(last.HeavyHitters))
 	}
 	// Traffic returns: detection must resume.
-	st, err := ada.Step(Timeunit{key("a", "x"): 9})
+	st, err := stepMap(ada, Timeunit{key("a", "x"): 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,11 +55,11 @@ func TestADASingleMassiveBurst(t *testing.T) {
 	for i := range warm {
 		warm[i] = Timeunit{key("a"): 1}
 	}
-	if _, err := ada.Init(warm); err != nil {
+	if _, err := initMap(ada, warm); err != nil {
 		t.Fatal(err)
 	}
 	// One unit with a million records on a brand-new leaf.
-	st, err := ada.Step(Timeunit{key("z", "deep", "leaf"): 1e6})
+	st, err := stepMap(ada, Timeunit{key("z", "deep", "leaf"): 1e6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestADASingleMassiveBurst(t *testing.T) {
 	}
 	// And it must decay cleanly.
 	for i := 0; i < 3; i++ {
-		if _, err := ada.Step(Timeunit{}); err != nil {
+		if _, err := stepMap(ada, Timeunit{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -90,14 +90,14 @@ func TestADAGrowingUniverse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ada.Init([]Timeunit{{key("seed"): 5}}); err != nil {
+	if _, err := initMap(ada, []Timeunit{{key("seed"): 5}}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 30; i++ {
 		u := Timeunit{
 			key("gen", string(rune('a'+i%26)), string(rune('a'+(i/26)%26))): 6,
 		}
-		st, err := ada.Step(u)
+		st, err := stepMap(ada, u)
 		if err != nil {
 			t.Fatalf("step %d: %v", i, err)
 		}
@@ -116,12 +116,12 @@ func TestSTAGrowingUniverse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sta.Init([]Timeunit{{key("seed"): 5}}); err != nil {
+	if _, err := initMap(sta, []Timeunit{{key("seed"): 5}}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 20; i++ {
 		u := Timeunit{key("n", string(rune('a'+i%26))): 6}
-		if _, err := sta.Step(u); err != nil {
+		if _, err := stepMap(sta, u); err != nil {
 			t.Fatalf("step %d: %v", i, err)
 		}
 	}
@@ -140,10 +140,10 @@ func TestADAFractionalWeights(t *testing.T) {
 	for i := range warm {
 		warm[i] = Timeunit{key("w"): 2.75}
 	}
-	if _, err := ada.Init(warm); err != nil {
+	if _, err := initMap(ada, warm); err != nil {
 		t.Fatal(err)
 	}
-	st, err := ada.Step(Timeunit{key("w"): 3.25})
+	st, err := stepMap(ada, Timeunit{key("w"): 3.25})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestADAThetaBoundary(t *testing.T) {
 	for i := range warm {
 		warm[i] = Timeunit{key("e"): 5}
 	}
-	st, err := ada.Init(warm)
+	st, err := initMap(ada, warm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestADAThetaBoundary(t *testing.T) {
 		t.Fatal("weight == theta must be a member")
 	}
 	// Just below θ is not.
-	st, err = ada.Step(Timeunit{key("e"): 4.999})
+	st, err = stepMap(ada, Timeunit{key("e"): 4.999})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,11 +20,11 @@ func TestLemma1Seeds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ada.Init(units[:8]); err != nil {
+		if _, err := initMap(ada, units[:8]); err != nil {
 			t.Fatal(err)
 		}
 		for step, u := range units[8:] {
-			st, err := ada.Step(u)
+			st, err := stepMap(ada, u)
 			if err != nil {
 				t.Fatal(err)
 			}

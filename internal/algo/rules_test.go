@@ -25,12 +25,12 @@ func ruleScenario(t *testing.T, rule SplitRule, alpha float64) (aHist, bHist flo
 	for i := range warm {
 		warm[i] = Timeunit{key("p", "a"): 6, key("p", "b"): 2}
 	}
-	if _, err := ada.Init(warm); err != nil {
+	if _, err := initMap(ada, warm); err != nil {
 		t.Fatal(err)
 	}
 	// Child a becomes heavy; b stays light. The split distributes
 	// the parent's history (8 per unit) by the rule's ratios.
-	if _, err := ada.Step(Timeunit{key("p", "a"): 9, key("p", "b"): 2}); err != nil {
+	if _, err := stepMap(ada, Timeunit{key("p", "a"): 9, key("p", "b"): 2}); err != nil {
 		t.Fatal(err)
 	}
 	nA := ada.Tree().Lookup(key("p", "a"))
@@ -78,14 +78,14 @@ func TestRuleXValues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ada.Init([]Timeunit{{key("n"): 8}}); err != nil {
+	if _, err := initMap(ada, []Timeunit{{key("n"): 8}}); err != nil {
 		t.Fatal(err)
 	}
 	id := ada.Tree().Lookup(key("n")).ID
 	if ada.prevA[id] != 8 {
 		t.Fatalf("prevA = %v, want 8", ada.prevA[id])
 	}
-	if _, err := ada.Step(Timeunit{key("n"): 4}); err != nil {
+	if _, err := stepMap(ada, Timeunit{key("n"): 4}); err != nil {
 		t.Fatal(err)
 	}
 	if ada.prevA[id] != 4 {
@@ -136,17 +136,17 @@ func TestReferenceRepairExactness(t *testing.T) {
 	for i := range warm {
 		warm[i] = Timeunit{key("p", "a"): 6, key("p", "b"): 2}
 	}
-	if _, err := ada.Init(warm); err != nil {
+	if _, err := initMap(ada, warm); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sta.Init(warm); err != nil {
+	if _, err := initMap(sta, warm); err != nil {
 		t.Fatal(err)
 	}
 	step := Timeunit{key("p", "a"): 9, key("p", "b"): 2}
-	if _, err := ada.Step(step); err != nil {
+	if _, err := stepMap(ada, step); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sta.Step(step); err != nil {
+	if _, err := stepMap(sta, step); err != nil {
 		t.Fatal(err)
 	}
 	nA := ada.Tree().Lookup(key("p", "a"))

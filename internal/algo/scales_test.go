@@ -79,19 +79,19 @@ func TestMapScalesEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fine.Init(fineUnits[:8]); err != nil {
+	if _, err := initMap(fine, fineUnits[:8]); err != nil {
 		t.Fatal(err)
 	}
 	for _, u := range fineUnits[8:] {
-		if _, err := fine.Step(u); err != nil {
+		if _, err := stepMap(fine, u); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := coarse.Init(coarseUnits[:2]); err != nil {
+	if _, err := initMap(coarse, coarseUnits[:2]); err != nil {
 		t.Fatal(err)
 	}
 	for _, u := range coarseUnits[2:] {
-		if _, err := coarse.Step(u); err != nil {
+		if _, err := stepMap(coarse, u); err != nil {
 			t.Fatal(err)
 		}
 	}

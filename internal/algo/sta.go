@@ -22,7 +22,7 @@ var errState = errors.New("algo: engine used before Init (or Init called twice)"
 type STA struct {
 	cfg      Config
 	tree     *hierarchy.Tree
-	window   []Timeunit // oldest first, length ℓ once warm
+	window   []shhh.Unit // oldest first, length ℓ once warm
 	instance int
 	inited   bool
 
@@ -65,60 +65,41 @@ func (s *STA) Name() string { return "STA" }
 // Tree implements Engine.
 func (s *STA) Tree() *hierarchy.Tree { return s.tree }
 
-// Init implements Engine: it ingests the initial window (line 2 of
+// Init implements Engine: it copies the initial window (line 2 of
 // Fig. 4 with κ = ℓ) and runs the first detection pass.
-func (s *STA) Init(window []Timeunit) (*StepState, error) {
+func (s *STA) Init(window []shhh.Unit) (*StepState, error) {
 	if s.inited {
 		return nil, errState
 	}
 	s.inited = true
-	s.window = make([]Timeunit, 0, s.cfg.WindowLen)
+	if len(window) > s.cfg.WindowLen {
+		window = window[len(window)-s.cfg.WindowLen:]
+	}
+	s.window = make([]shhh.Unit, 0, s.cfg.WindowLen)
 	for _, u := range window {
-		s.ingest(u)
+		s.window = append(s.window, u.Clone())
 	}
 	if len(s.window) == 0 {
-		s.ingest(Timeunit{})
+		s.window = append(s.window, shhh.Unit{})
 	}
 	return s.process()
 }
 
-// Step implements Engine.
-func (s *STA) Step(u Timeunit) (*StepState, error) {
+// Step implements Engine: the newest timeunit is retained in compact
+// form, evicting the oldest beyond ℓ and reusing its arrays.
+func (s *STA) Step(u *DenseUnit) (*StepState, error) {
 	if !s.inited {
 		return nil, errState
 	}
 	s.instance++
-	s.ingest(u)
-	return s.process()
-}
-
-// StepDense implements Engine: STA retains map-form timeunits for its
-// window, so the dense unit is converted on entry (the strawman is the
-// baseline, not the hot path).
-func (s *STA) StepDense(u *DenseUnit) (*StepState, error) {
-	if !s.inited {
-		return nil, errState
-	}
-	s.instance++
-	s.window = append(s.window, u.Timeunit(s.tree))
-	if len(s.window) > s.cfg.WindowLen {
-		s.window = s.window[1:]
+	if len(s.window) < s.cfg.WindowLen {
+		s.window = append(s.window, u.Unit())
+	} else {
+		oldest := s.window[0]
+		copy(s.window, s.window[1:])
+		s.window[len(s.window)-1] = u.appendUnit(oldest)
 	}
 	return s.process()
-}
-
-// ingest appends a timeunit, evicting the oldest beyond ℓ, and grows
-// the tree with any unseen categories.
-func (s *STA) ingest(u Timeunit) {
-	cp := make(Timeunit, len(u))
-	for k, v := range u {
-		cp[k] = v
-		s.tree.InsertKey(k)
-	}
-	s.window = append(s.window, cp)
-	if len(s.window) > s.cfg.WindowLen {
-		s.window = s.window[1:]
-	}
 }
 
 // process runs lines 6-9 of Fig. 4: SHHH on the newest timeunit, then
@@ -233,14 +214,14 @@ func (s *STA) ForecastSeriesOf(n *hierarchy.Node) []float64 {
 }
 
 // Memory implements Engine. STA's state is dominated by the ℓ retained
-// timeunit trees (count maps) plus the newest reconstruction.
+// timeunits plus the newest reconstruction.
 func (s *STA) Memory() MemoryStats {
 	m := MemoryStats{TreeNodes: s.tree.Len()}
 	for _, u := range s.window {
-		// Each retained entry carries a key reference and a count;
+		// Each retained entry carries a node ID and a count;
 		// approximate as 2 float-sized slots, mirroring a tree node
 		// holding a label pointer and a counter.
-		m.AuxFloats += 2 * len(u)
+		m.AuxFloats += 2 * len(u.IDs)
 	}
 	for _, ts := range s.lastSeries {
 		m.SeriesFloats += len(ts)

@@ -29,13 +29,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"time"
 
 	"tiresias/internal/algo"
 	"tiresias/internal/forecast"
 	"tiresias/internal/hierarchy"
 	"tiresias/internal/series"
+	"tiresias/internal/shhh"
 	"tiresias/internal/stream"
 )
 
@@ -112,7 +112,7 @@ type StreamState struct {
 	// Windower is the captured windowing position.
 	Windower stream.WindowerState
 	// WarmBuf holds the buffered warmup units (empty once warm).
-	WarmBuf []algo.Timeunit
+	WarmBuf []shhh.Unit
 	// First is the wall-clock start of the first observed unit;
 	// FirstSeen whether any record was observed.
 	First     time.Time
@@ -174,11 +174,7 @@ func Write(w io.Writer, snap *Snapshot) error {
 		}
 	}
 	if snap.Stream != nil {
-		p, err := encodeStream(snap.Stream, snap.Tree)
-		if err != nil {
-			return err
-		}
-		if err := writeSection(w, tagStream, p); err != nil {
+		if err := writeSection(w, tagStream, encodeStream(snap.Stream)); err != nil {
 			return err
 		}
 	}
@@ -515,7 +511,7 @@ func decodeEngine(buf []byte) (*algo.EngineState, error) {
 	e.RefCovered = r.getInt()
 	n = r.getLen()
 	for i := 0; i < n && r.err == nil; i++ {
-		us := algo.UnitState{IDs: r.getInt32s(), Vals: r.getFloats()}
+		us := shhh.Unit{IDs: r.getInt32s(), Vals: r.getFloats()}
 		e.Window = append(e.Window, us)
 	}
 	if err := r.done(tagEngine); err != nil {
@@ -527,9 +523,8 @@ func decodeEngine(buf []byte) (*algo.EngineState, error) {
 // --- Stream section ---
 
 // encodeStream writes the Manager per-stream extras. Warmup-buffer
-// timeunits are map-form; they are encoded through the hierarchy as
-// sorted (ID, count) pairs, which keeps the bytes deterministic.
-func encodeStream(s *StreamState, t *hierarchy.Tree) (*payload, error) {
+// units are compact (ascending IDs), so their bytes are deterministic.
+func encodeStream(s *StreamState) *payload {
 	p := &payload{}
 	p.putString(s.Name)
 	w := &s.Windower
@@ -541,28 +536,15 @@ func encodeStream(s *StreamState, t *hierarchy.Tree) (*payload, error) {
 	p.putFloats(w.CurVals)
 	p.putLen(len(s.WarmBuf))
 	for _, u := range s.WarmBuf {
-		ids := make([]int32, 0, len(u))
-		for k := range u {
-			n := t.Lookup(k)
-			if n == nil {
-				return nil, fmt.Errorf("checkpoint: warmup key %q missing from hierarchy", k)
-			}
-			ids = append(ids, int32(n.ID))
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		p.putInt32s(ids)
-		vals := make([]float64, len(ids))
-		for i, id := range ids {
-			vals[i] = u[t.Node(int(id)).Key]
-		}
-		p.putFloats(vals)
+		p.putInt32s(u.IDs)
+		p.putFloats(u.Vals)
 	}
 	p.putTime(s.First)
 	p.putBool(s.FirstSeen)
 	p.putBool(s.Dirty)
 	p.putInt(s.Units)
 	p.putInt(s.Anoms)
-	return p, nil
+	return p
 }
 
 func decodeStream(buf []byte, t *hierarchy.Tree) (*StreamState, error) {
@@ -582,16 +564,9 @@ func decodeStream(buf []byte, t *hierarchy.Tree) (*StreamState, error) {
 		if r.err != nil {
 			break
 		}
-		if len(ids) != len(vals) {
-			return nil, fmt.Errorf("%w: warmup unit has %d IDs, %d values", ErrBadCheckpoint, len(ids), len(vals))
-		}
-		u := make(algo.Timeunit, len(ids))
-		for j, id := range ids {
-			if id < 0 || int(id) >= t.Len() {
-				return nil, fmt.Errorf("%w: warmup unit references node %d outside hierarchy of %d nodes",
-					ErrBadCheckpoint, id, t.Len())
-			}
-			u[t.Node(int(id)).Key] += vals[j]
+		u := shhh.Unit{IDs: ids, Vals: vals}
+		if err := u.Validate(t.Len()); err != nil {
+			return nil, fmt.Errorf("%w: warmup %v", ErrBadCheckpoint, err)
 		}
 		s.WarmBuf = append(s.WarmBuf, u)
 	}

@@ -316,8 +316,11 @@ func readSection(s *byteScanner) (string, []byte, error) {
 	if size > maxSliceLen {
 		return "", nil, fmt.Errorf("%w: implausible section length %d", ErrBadCheckpoint, size)
 	}
-	buf := make([]byte, size)
-	if _, err := io.ReadFull(s.r, buf); err != nil {
+	// Grow the payload with the bytes actually present instead of
+	// allocating the claimed length up front: a crafted or truncated
+	// header must not cost a maxSliceLen allocation.
+	buf, err := io.ReadAll(io.LimitReader(s.r, int64(size)))
+	if err != nil || uint64(len(buf)) != size {
 		return "", nil, fmt.Errorf("%w: truncated section %q", ErrBadCheckpoint, tag)
 	}
 	var crc [4]byte

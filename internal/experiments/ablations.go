@@ -138,11 +138,12 @@ func AblateScales(p Profile) (*Result, error) {
 		if err != nil {
 			return algo.MemoryStats{}, nil, err
 		}
-		if _, err := ada.Init(w.Units[:p.WarmUnits]); err != nil {
+		if _, err := ada.Init(algo.Units(ada.Tree(), w.Units[:p.WarmUnits])); err != nil {
 			return algo.MemoryStats{}, nil, err
 		}
+		var du algo.DenseUnit
 		for _, u := range w.Units[p.WarmUnits:] {
-			if _, err := ada.Step(u); err != nil {
+			if _, err := ada.Step(du.Load(ada.Tree(), u)); err != nil {
 				return algo.MemoryStats{}, nil, err
 			}
 		}

@@ -310,13 +310,14 @@ func Fig12(p Profile) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := sta.Init(w.Units[:p.WarmUnits]); err != nil {
+	if _, err := sta.Init(algo.Units(sta.Tree(), w.Units[:p.WarmUnits])); err != nil {
 		return nil, err
 	}
 	// Pre-drive STA and snapshot exact series at the final instance.
 	var lastSTA *algo.StepState
+	var du algo.DenseUnit
 	for _, u := range w.Units[p.WarmUnits:] {
-		lastSTA, err = sta.Step(u)
+		lastSTA, err = sta.Step(du.Load(sta.Tree(), u))
 		if err != nil {
 			return nil, err
 		}
@@ -326,11 +327,11 @@ func Fig12(p Profile) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		if _, err := ada.Init(w.Units[:p.WarmUnits]); err != nil {
+		if _, err := ada.Init(algo.Units(ada.Tree(), w.Units[:p.WarmUnits])); err != nil {
 			return nil, err
 		}
 		for _, u := range w.Units[p.WarmUnits:] {
-			if _, err := ada.Step(u); err != nil {
+			if _, err := ada.Step(du.Load(ada.Tree(), u)); err != nil {
 				return nil, err
 			}
 		}

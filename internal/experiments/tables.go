@@ -99,13 +99,14 @@ func runTimed(e algo.Engine, w *Workload, warm int) (stageRow, error) {
 		return row, err
 	}
 	row.reading = time.Since(startRead)
-	st, err := e.Init(w.Units[:warm])
+	st, err := e.Init(algo.Units(e.Tree(), w.Units[:warm]))
 	if err != nil {
 		return row, err
 	}
 	row.stages.Add(st.Timings)
+	var du algo.DenseUnit
 	for _, u := range w.Units[warm:] {
-		st, err = e.Step(u)
+		st, err = e.Step(du.Load(e.Tree(), u))
 		if err != nil {
 			return row, err
 		}
@@ -196,11 +197,12 @@ func Table4(p Profile) (*Result, error) {
 		if err != nil {
 			return algo.MemoryStats{}, err
 		}
-		if _, err := e.Init(w.Units[:p.WarmUnits]); err != nil {
+		if _, err := e.Init(algo.Units(e.Tree(), w.Units[:p.WarmUnits])); err != nil {
 			return algo.MemoryStats{}, err
 		}
+		var du algo.DenseUnit
 		for _, u := range w.Units[p.WarmUnits:] {
-			if _, err := e.Step(u); err != nil {
+			if _, err := e.Step(du.Load(e.Tree(), u)); err != nil {
 				return algo.MemoryStats{}, err
 			}
 		}
@@ -251,11 +253,12 @@ func runDetect(e algo.Engine, w *Workload, warm int, th detect.Thresholds) (flag
 	if err != nil {
 		return nil, nil, err
 	}
-	if _, err := e.Init(w.Units[:warm]); err != nil {
+	if _, err := e.Init(algo.Units(e.Tree(), w.Units[:warm])); err != nil {
 		return nil, nil, err
 	}
+	var du algo.DenseUnit
 	for i, u := range w.Units[warm:] {
-		st, err := e.Step(u)
+		st, err := e.Step(du.Load(e.Tree(), u))
 		if err != nil {
 			return nil, nil, err
 		}

@@ -12,6 +12,7 @@ package multidim
 import (
 	"errors"
 	"fmt"
+	"io"
 	"time"
 
 	"tiresias"
@@ -44,7 +45,7 @@ type Dimension struct {
 type Runner struct {
 	dims      []Dimension
 	detectors []*tiresias.Tiresias
-	windowers []*stream.Windower
+	delta     time.Duration
 	warm      bool
 }
 
@@ -55,23 +56,17 @@ func New(dims []Dimension) (*Runner, error) {
 		return nil, errors.New("multidim: at least one dimension required")
 	}
 	r := &Runner{dims: dims}
-	var delta time.Duration
 	for i, d := range dims {
 		t, err := tiresias.New(d.Options...)
 		if err != nil {
 			return nil, fmt.Errorf("multidim: dimension %q: %w", d.Name, err)
 		}
 		if i == 0 {
-			delta = t.Delta()
-		} else if t.Delta() != delta {
-			return nil, fmt.Errorf("multidim: dimension %q delta %v != %v", d.Name, t.Delta(), delta)
-		}
-		w, err := stream.NewWindower(t.Delta())
-		if err != nil {
-			return nil, err
+			r.delta = t.Delta()
+		} else if t.Delta() != r.delta {
+			return nil, fmt.Errorf("multidim: dimension %q delta %v != %v", d.Name, t.Delta(), r.delta)
 		}
 		r.detectors = append(r.detectors, t)
-		r.windowers = append(r.windowers, w)
 	}
 	return r, nil
 }
@@ -91,31 +86,40 @@ func (r *Runner) Warmup(history []DimRecord) error {
 	if r.warm {
 		return errors.New("multidim: Warmup called twice")
 	}
-	units := make([][]algo.Timeunit, len(r.dims))
-	var start time.Time
 	for i, rec := range history {
 		if len(rec.Paths) != len(r.dims) {
 			return fmt.Errorf("multidim: record %d has %d paths, want %d", i, len(rec.Paths), len(r.dims))
 		}
-		for d := range r.dims {
-			done, err := r.windowers[d].Observe(stream.Record{Path: rec.Paths[d], Time: rec.Time})
-			if err != nil {
-				return err
-			}
-			units[d] = append(units[d], done...)
-			if i == 0 && d == 0 {
-				start = r.windowers[d].Start()
-			}
-		}
 	}
 	for d := range r.dims {
-		units[d] = append(units[d], r.windowers[d].Flush())
-		if err := r.detectors[d].Warmup(units[d], start); err != nil {
+		units, start, err := stream.Collect(&dimSource{recs: history, dim: d}, r.delta)
+		if err != nil {
+			return err
+		}
+		if err := r.detectors[d].Warmup(units, start); err != nil {
 			return fmt.Errorf("multidim: warmup %q: %w", r.dims[d].Name, err)
 		}
 	}
 	r.warm = true
 	return nil
+}
+
+// dimSource serves one dimension of a record slice as a
+// stream.Source.
+type dimSource struct {
+	recs []DimRecord
+	dim  int
+	i    int
+}
+
+// Next implements stream.Source.
+func (s *dimSource) Next() (stream.Record, error) {
+	if s.i >= len(s.recs) {
+		return stream.Record{}, io.EOF
+	}
+	rec := s.recs[s.i]
+	s.i++
+	return stream.Record{Path: rec.Paths[s.dim], Time: rec.Time}, nil
 }
 
 // DimAnomaly tags an anomaly with its dimension.
@@ -132,7 +136,7 @@ type Incident struct {
 	// Instance is the shared time instance.
 	Instance int `json:"instance"`
 	// Anomalies holds the co-occurring detections, dimension order
-	// then key order.
+	// then node-ID order (the order each detector reports them).
 	Anomalies []DimAnomaly `json:"anomalies"`
 }
 

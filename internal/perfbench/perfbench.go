@@ -55,14 +55,12 @@ func engineWorkload(b *testing.B, name string) (algo.Engine, []*algo.DenseUnit) 
 	if err != nil {
 		b.Fatal(err)
 	}
+	if _, err := e.Init(algo.Units(tree, w.Units[:p.WarmUnits])); err != nil {
+		b.Fatal(err)
+	}
 	steps := make([]*algo.DenseUnit, 0, len(w.Units)-p.WarmUnits)
 	for _, u := range w.Units[p.WarmUnits:] {
-		du := &algo.DenseUnit{}
-		du.AddTimeunit(tree, u)
-		steps = append(steps, du)
-	}
-	if _, err := e.Init(w.Units[:p.WarmUnits]); err != nil {
-		b.Fatal(err)
+		steps = append(steps, new(algo.DenseUnit).Load(tree, u))
 	}
 	return e, steps
 }
@@ -74,7 +72,7 @@ func ADAStep(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.StepDense(units[i%len(units)]); err != nil {
+		if _, err := e.Step(units[i%len(units)]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -87,7 +85,7 @@ func STAStep(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.StepDense(units[i%len(units)]); err != nil {
+		if _, err := e.Step(units[i%len(units)]); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -11,6 +11,9 @@
 package shhh
 
 import (
+	"fmt"
+	"slices"
+
 	"tiresias/internal/hierarchy"
 )
 
@@ -27,6 +30,65 @@ func (c Counts) Total() float64 {
 		s += v
 	}
 	return s
+}
+
+// Unit is the compact retained form of one timeunit: the touched node
+// IDs in ascending order next to their direct counts. It holds only
+// the entries the timeunit touched — no index sized to the tree — so
+// a window of retained units costs O(touched) per unit. It is what
+// STA's window, a warming detector's buffer, engine Init, and the
+// checkpoint carry, and what the Into variants below read.
+type Unit struct {
+	// IDs lists the touched node IDs in ascending order.
+	IDs []int32
+	// Vals holds the direct count of each entry of IDs.
+	Vals []float64
+}
+
+// Total returns the sum of all direct counts.
+func (u Unit) Total() float64 {
+	var s float64
+	for _, v := range u.Vals {
+		s += v
+	}
+	return s
+}
+
+// Clone returns a copy of u that shares no arrays with it.
+func (u Unit) Clone() Unit {
+	return Unit{IDs: slices.Clone(u.IDs), Vals: slices.Clone(u.Vals)}
+}
+
+// Validate rejects a unit whose arrays differ in length or whose IDs
+// fall outside a tree of n nodes: the checks a unit decoded from disk
+// needs before any Into variant indexes by its IDs.
+func (u Unit) Validate(n int) error {
+	if len(u.IDs) != len(u.Vals) {
+		return fmt.Errorf("unit has %d IDs, %d values", len(u.IDs), len(u.Vals))
+	}
+	for _, id := range u.IDs {
+		if id < 0 || int(id) >= n {
+			return fmt.Errorf("unit references node %d outside hierarchy of %d nodes", id, n)
+		}
+	}
+	return nil
+}
+
+// unitOf resolves map-form counts through the tree into a Unit for
+// the map-form reference entry points; keys missing from the tree are
+// ignored.
+func unitOf(t *hierarchy.Tree, counts Counts) Unit {
+	var u Unit
+	for k := range counts {
+		if n := t.Lookup(k); n != nil {
+			u.IDs = append(u.IDs, int32(n.ID))
+		}
+	}
+	slices.Sort(u.IDs)
+	for _, id := range u.IDs {
+		u.Vals = append(u.Vals, counts[t.Node(int(id)).Key])
+	}
+	return u
 }
 
 // Result is the outcome of an SHHH computation over one timeunit.
@@ -56,16 +118,16 @@ func (r *Result) IsHH(n *hierarchy.Node) bool {
 // Definition 2). Nodes must already exist in the tree for every key in
 // counts; use Tree.InsertKey beforehand.
 func Compute(t *hierarchy.Tree, counts Counts, theta float64) *Result {
-	return ComputeInto(t, counts, theta, nil)
+	return ComputeInto(t, unitOf(t, counts), theta, nil)
 }
 
-// ComputeInto is Compute reusing r's slices as scratch (r may be nil,
-// which allocates a fresh Result). Repeated calls with the same Result
-// and a stable tree are allocation-free; the previous contents of r
-// are overwritten.
+// ComputeInto is Compute over a compact unit whose IDs belong to t,
+// reusing r's slices as scratch (r may be nil, which allocates a fresh
+// Result). Repeated calls with the same Result and a stable tree are
+// allocation-free; the previous contents of r are overwritten.
 //
 //tiresias:hotpath
-func ComputeInto(t *hierarchy.Tree, counts Counts, theta float64, r *Result) *Result {
+func ComputeInto(t *hierarchy.Tree, u Unit, theta float64, r *Result) *Result {
 	if r == nil {
 		r = &Result{} //tiresias:ignore hotpath escapecheck (nil-r convenience path; steady-state callers pass a reused Result)
 	}
@@ -75,11 +137,9 @@ func ComputeInto(t *hierarchy.Tree, counts Counts, theta float64, r *Result) *Re
 	r.W = growFloats(r.W, n)        //tiresias:ignore escapecheck (inlined grow path: allocates only when the tree outgrows r's scratch)
 	r.InSet = growBools(r.InSet, n) //tiresias:ignore escapecheck (inlined grow path: allocates only when the tree outgrows r's scratch)
 	r.Set = r.Set[:0]
-	for k, v := range counts {
-		if nd := t.Lookup(k); nd != nil {
-			r.A[nd.ID] += v
-			r.W[nd.ID] += v
-		}
+	for i, id := range u.IDs {
+		r.A[id] += u.Vals[i]
+		r.W[id] += u.Vals[i]
 	}
 	// Closure-free bottom-up sweep over the flat CSR view.
 	csr := t.CSR()
@@ -144,19 +204,17 @@ func ComputeHHH(t *hierarchy.Tree, counts Counts, theta float64) []*hierarchy.No
 // Aggregate computes the raw weight An for every node: direct count
 // plus descendant counts.
 func Aggregate(t *hierarchy.Tree, counts Counts) []float64 {
-	return AggregateInto(t, counts, nil)
+	return AggregateInto(t, unitOf(t, counts), nil)
 }
 
-// AggregateInto is Aggregate writing into dst, reusing its backing
-// array when it is large enough.
+// AggregateInto is Aggregate over a compact unit, writing into dst and
+// reusing its backing array when it is large enough.
 //
 //tiresias:hotpath
-func AggregateInto(t *hierarchy.Tree, counts Counts, dst []float64) []float64 {
+func AggregateInto(t *hierarchy.Tree, u Unit, dst []float64) []float64 {
 	a := growFloats(dst, t.Len()) //tiresias:ignore escapecheck (inlined grow path: allocates only when the tree outgrows dst)
-	for k, v := range counts {
-		if n := t.Lookup(k); n != nil {
-			a[n.ID] += v
-		}
+	for i, id := range u.IDs {
+		a[id] += u.Vals[i]
 	}
 	csr := t.CSR()
 	for _, id32 := range csr.BottomUp {
@@ -178,21 +236,19 @@ func AggregateInto(t *hierarchy.Tree, counts Counts, dst []float64) []float64 {
 // node ID and may be shorter than the tree (new nodes default to not
 // in the set).
 func FrozenWeights(t *hierarchy.Tree, counts Counts, inSet []bool) []float64 {
-	return FrozenWeightsInto(t, counts, inSet, nil)
+	return FrozenWeightsInto(t, unitOf(t, counts), inSet, nil)
 }
 
-// FrozenWeightsInto is FrozenWeights writing into dst, reusing its
-// backing array when it is large enough. STA calls this once per
-// retained timeunit per instance, so scratch reuse removes its
-// dominant allocation source.
+// FrozenWeightsInto is FrozenWeights over a compact unit, writing into
+// dst and reusing its backing array when it is large enough. STA calls
+// this once per retained timeunit per instance, so scratch reuse
+// removes its dominant allocation source.
 //
 //tiresias:hotpath
-func FrozenWeightsInto(t *hierarchy.Tree, counts Counts, inSet []bool, dst []float64) []float64 {
+func FrozenWeightsInto(t *hierarchy.Tree, u Unit, inSet []bool, dst []float64) []float64 {
 	w := growFloats(dst, t.Len()) //tiresias:ignore escapecheck (inlined grow path: allocates only when the tree outgrows dst)
-	for k, v := range counts {
-		if n := t.Lookup(k); n != nil {
-			w[n.ID] += v
-		}
+	for i, id := range u.IDs {
+		w[id] += u.Vals[i]
 	}
 	csr := t.CSR()
 	for _, id32 := range csr.BottomUp {

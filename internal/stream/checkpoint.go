@@ -8,7 +8,7 @@ import (
 	"tiresias/internal/hierarchy"
 )
 
-// WindowerState is a serializable snapshot of a dense-mode Windower:
+// WindowerState is a serializable snapshot of a Windower:
 // the windowing position (current unit boundary and whether windowing
 // has begun), the MaxGap bound, and the contents of the current
 // partial timeunit. It exists so a Manager checkpoint can resume
@@ -30,9 +30,7 @@ type WindowerState struct {
 	CurVals []float64
 }
 
-// State snapshots the windower. Only the dense emission mode is
-// captured (BindTree + ObserveDense/FlushDense); the map-mode current
-// unit, if any, is not part of the state.
+// State snapshots the windower.
 func (w *Windower) State() WindowerState {
 	st := WindowerState{
 		Delta:  w.delta,
@@ -51,7 +49,7 @@ func (w *Windower) State() WindowerState {
 	return st
 }
 
-// RestoreWindower rebuilds a dense-mode Windower from a captured
+// RestoreWindower rebuilds a Windower from a captured
 // state, binding it to t (the hierarchy the consuming engine operates
 // on — node IDs in the state must have been interned into it).
 func RestoreWindower(st WindowerState, t *hierarchy.Tree) (*Windower, error) {

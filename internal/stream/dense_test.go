@@ -13,63 +13,6 @@ func denseStart() time.Time {
 	return time.Date(2012, 6, 18, 0, 0, 0, 0, time.UTC)
 }
 
-// TestObserveDenseMatchesObserve feeds the same record sequence
-// through both emission modes and checks unit boundaries and counts
-// agree.
-func TestObserveDenseMatchesObserve(t *testing.T) {
-	recs := []Record{
-		{Path: []string{"a", "x"}, Time: denseStart()},
-		{Path: []string{"a", "x"}, Time: denseStart().Add(20 * time.Second)},
-		{Path: []string{"a", "y"}, Time: denseStart().Add(70 * time.Second)},
-		{Path: []string{"b"}, Time: denseStart().Add(200 * time.Second)},
-		{Path: []string{"a", "x"}, Time: denseStart().Add(305 * time.Second)},
-	}
-	wm, err := NewWindower(time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tree := hierarchy.New()
-	wd, err := NewWindower(time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wd.BindTree(tree)
-	for _, r := range recs {
-		mapDone, err := wm.Observe(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		denseDone, err := wd.ObserveDense(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(mapDone) != len(denseDone) {
-			t.Fatalf("record %v: %d map units vs %d dense units", r.Time, len(mapDone), len(denseDone))
-		}
-		for i := range mapDone {
-			back := denseDone[i].Timeunit(tree)
-			if len(back) != len(mapDone[i]) {
-				t.Fatalf("unit %d: %d keys vs %d", i, len(back), len(mapDone[i]))
-			}
-			for k, v := range mapDone[i] {
-				if back[k] != v {
-					t.Fatalf("unit %d key %q: %v vs %v", i, k, back[k], v)
-				}
-			}
-		}
-	}
-	mu := wm.Flush()
-	du := wd.FlushDense().Timeunit(tree)
-	if len(mu) != len(du) {
-		t.Fatalf("flush: %d keys vs %d", len(mu), len(du))
-	}
-	for k, v := range mu {
-		if du[k] != v {
-			t.Fatalf("flush key %q: %v vs %v", k, du[k], v)
-		}
-	}
-}
-
 // TestObserveDenseRecycles checks emitted units are pooled: after the
 // next dense call, previously returned units are reset and reused.
 func TestObserveDenseRecycles(t *testing.T) {
@@ -87,7 +30,7 @@ func TestObserveDenseRecycles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(done) != 1 || done[0].Total() != 1 {
+	if len(done) != 1 || done[0].Unit().Total() != 1 {
 		t.Fatalf("expected one completed unit with total 1, got %d units", len(done))
 	}
 	first := done[0]
@@ -140,7 +83,7 @@ func TestObserveDenseSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestObserveDenseRequiresBind checks the dense mode guards its
+// TestObserveDenseRequiresBind checks ObserveDense guards its
 // precondition.
 func TestObserveDenseRequiresBind(t *testing.T) {
 	w, err := NewWindower(time.Minute)
@@ -152,49 +95,31 @@ func TestObserveDenseRequiresBind(t *testing.T) {
 	}
 }
 
-// TestWindowerMaxGap checks the gap bound on both modes: the record is
-// rejected with ErrMaxGap, no state is mutated, and sane records keep
-// working.
+// TestWindowerMaxGap checks the gap bound: the record is rejected
+// with ErrMaxGap, no state is mutated, and sane records keep working.
 func TestWindowerMaxGap(t *testing.T) {
-	for _, mode := range []string{"map", "dense"} {
-		w, err := NewWindower(time.Minute)
-		if err != nil {
-			t.Fatal(err)
-		}
-		w.SetMaxGap(10)
-		if got := w.MaxGap(); got != 10 {
-			t.Fatalf("MaxGap() = %d", got)
-		}
-		tree := hierarchy.New()
-		observe := func(r Record) error {
-			if mode == "dense" {
-				_, err := w.ObserveDense(r)
-				return err
-			}
-			_, err := w.Observe(r)
-			return err
-		}
-		if mode == "dense" {
-			w.BindTree(tree)
-		}
-		if err := observe(Record{Path: []string{"a"}, Time: denseStart()}); err != nil {
-			t.Fatal(err)
-		}
-		// Within the bound: fine.
-		if err := observe(Record{Path: []string{"a"}, Time: denseStart().Add(9 * time.Minute)}); err != nil {
-			t.Fatalf("%s: in-bound gap rejected: %v", mode, err)
-		}
-		// Past the bound: ErrMaxGap, and the windower stays usable.
-		err = observe(Record{Path: []string{"a"}, Time: denseStart().Add(500 * time.Minute)})
-		if !errors.Is(err, ErrMaxGap) {
-			t.Fatalf("%s: far-future record error = %v, want ErrMaxGap", mode, err)
-		}
-		if !strings.Contains(err.Error(), "timeunits past") {
-			t.Fatalf("%s: error not descriptive: %v", mode, err)
-		}
-		if err := observe(Record{Path: []string{"a"}, Time: denseStart().Add(10 * time.Minute)}); err != nil {
-			t.Fatalf("%s: windower unusable after rejection: %v", mode, err)
-		}
+	w := newBoundWindower(t, time.Minute)
+	w.SetMaxGap(10)
+	if got := w.MaxGap(); got != 10 {
+		t.Fatalf("MaxGap() = %d", got)
+	}
+	if _, err := w.ObserveDense(Record{Path: []string{"a"}, Time: denseStart()}); err != nil {
+		t.Fatal(err)
+	}
+	// Within the bound: fine.
+	if _, err := w.ObserveDense(Record{Path: []string{"a"}, Time: denseStart().Add(9 * time.Minute)}); err != nil {
+		t.Fatalf("in-bound gap rejected: %v", err)
+	}
+	// Past the bound: ErrMaxGap, and the windower stays usable.
+	_, err := w.ObserveDense(Record{Path: []string{"a"}, Time: denseStart().Add(500 * time.Minute)})
+	if !errors.Is(err, ErrMaxGap) {
+		t.Fatalf("far-future record error = %v, want ErrMaxGap", err)
+	}
+	if !strings.Contains(err.Error(), "timeunits past") {
+		t.Fatalf("error not descriptive: %v", err)
+	}
+	if _, err := w.ObserveDense(Record{Path: []string{"a"}, Time: denseStart().Add(10 * time.Minute)}); err != nil {
+		t.Fatalf("windower unusable after rejection: %v", err)
 	}
 }
 
@@ -202,29 +127,23 @@ func TestWindowerMaxGap(t *testing.T) {
 // multi-day delta, maxGap*delta would overflow a Duration; the
 // unit-count comparison must still accept ordinary records.
 func TestWindowerMaxGapLargeDelta(t *testing.T) {
-	w, err := NewWindower(36 * time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := newBoundWindower(t, 36*time.Hour)
 	w.SetMaxGap(100_000) // tiresias.DefaultMaxGap
-	if _, err := w.Observe(Record{Path: []string{"a"}, Time: denseStart()}); err != nil {
+	if _, err := w.ObserveDense(Record{Path: []string{"a"}, Time: denseStart()}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Observe(Record{Path: []string{"a"}, Time: denseStart().Add(40 * time.Hour)}); err != nil {
+	if _, err := w.ObserveDense(Record{Path: []string{"a"}, Time: denseStart().Add(40 * time.Hour)}); err != nil {
 		t.Fatalf("ordinary record rejected under large delta: %v", err)
 	}
 }
 
 // TestWindowerMaxGapDisabled checks n <= 0 keeps unbounded filling.
 func TestWindowerMaxGapDisabled(t *testing.T) {
-	w, err := NewWindower(time.Minute)
-	if err != nil {
+	w := newBoundWindower(t, time.Minute)
+	if _, err := w.ObserveDense(Record{Path: []string{"a"}, Time: denseStart()}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Observe(Record{Path: []string{"a"}, Time: denseStart()}); err != nil {
-		t.Fatal(err)
-	}
-	done, err := w.Observe(Record{Path: []string{"a"}, Time: denseStart().Add(1000 * time.Minute)})
+	done, err := w.ObserveDense(Record{Path: []string{"a"}, Time: denseStart().Add(1000 * time.Minute)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"tiresias/internal/algo"
 	"tiresias/internal/hierarchy"
 )
 
@@ -95,6 +96,28 @@ func TestCSVishSourceErrors(t *testing.T) {
 	}
 }
 
+// newBoundWindower returns a windower bound to a fresh tree.
+func newBoundWindower(t *testing.T, delta time.Duration) *Windower {
+	t.Helper()
+	w, err := NewWindower(delta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.BindTree(hierarchy.New())
+	return w
+}
+
+// observe is ObserveDense with the completed units converted to map
+// form for assertions.
+func observe(w *Windower, r Record) ([]algo.Timeunit, error) {
+	done, err := w.ObserveDense(r)
+	out := make([]algo.Timeunit, len(done))
+	for i, u := range done {
+		out[i] = u.Timeunit(w.tree)
+	}
+	return out, err
+}
+
 func TestWindowerValidation(t *testing.T) {
 	if _, err := NewWindower(0); err == nil {
 		t.Fatal("delta=0 must be rejected")
@@ -102,10 +125,7 @@ func TestWindowerValidation(t *testing.T) {
 }
 
 func TestWindowerGroupsByDelta(t *testing.T) {
-	w, err := NewWindower(15 * time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := newBoundWindower(t, 15*time.Minute)
 	if w.Delta() != 15*time.Minute {
 		t.Fatal("Delta accessor wrong")
 	}
@@ -115,7 +135,7 @@ func TestWindowerGroupsByDelta(t *testing.T) {
 		rec(5*time.Minute, "a"),
 		rec(14*time.Minute, "b"),
 	} {
-		done, err := w.Observe(r)
+		done, err := observe(w, r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +143,7 @@ func TestWindowerGroupsByDelta(t *testing.T) {
 			t.Fatalf("no unit should complete yet, got %d", len(done))
 		}
 	}
-	done, err := w.Observe(rec(16*time.Minute, "a"))
+	done, err := observe(w, rec(16*time.Minute, "a"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,22 +154,19 @@ func TestWindowerGroupsByDelta(t *testing.T) {
 	if u[hierarchy.KeyOf([]string{"a"})] != 2 || u[hierarchy.KeyOf([]string{"b"})] != 1 {
 		t.Fatalf("unit counts = %v", u)
 	}
-	last := w.Flush()
+	last := w.FlushDense().Timeunit(w.tree)
 	if last[hierarchy.KeyOf([]string{"a"})] != 1 {
 		t.Fatalf("flushed unit = %v", last)
 	}
 }
 
 func TestWindowerEmitsEmptyGapUnits(t *testing.T) {
-	w, err := NewWindower(10 * time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.Observe(rec(0, "a")); err != nil {
+	w := newBoundWindower(t, 10*time.Minute)
+	if _, err := observe(w, rec(0, "a")); err != nil {
 		t.Fatal(err)
 	}
 	// Jump 35 minutes: units 0,1,2 complete; 1 and 2 are empty.
-	done, err := w.Observe(rec(35*time.Minute, "b"))
+	done, err := observe(w, rec(35*time.Minute, "b"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,28 +179,22 @@ func TestWindowerEmitsEmptyGapUnits(t *testing.T) {
 }
 
 func TestWindowerRejectsOutOfOrder(t *testing.T) {
-	w, err := NewWindower(10 * time.Minute)
-	if err != nil {
+	w := newBoundWindower(t, 10*time.Minute)
+	if _, err := observe(w, rec(20*time.Minute, "a")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Observe(rec(20*time.Minute, "a")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.Observe(rec(5*time.Minute, "b")); !errors.Is(err, ErrOutOfOrder) {
+	if _, err := observe(w, rec(5*time.Minute, "b")); !errors.Is(err, ErrOutOfOrder) {
 		t.Fatalf("err = %v, want ErrOutOfOrder", err)
 	}
 	// Same-unit earlier timestamps are fine (floor is the unit start).
-	if _, err := w.Observe(rec(21*time.Minute, "c")); err != nil {
+	if _, err := observe(w, rec(21*time.Minute, "c")); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestWindowerAlignsToDeltaBoundary(t *testing.T) {
-	w, err := NewWindower(15 * time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.Observe(rec(7*time.Minute, "a")); err != nil {
+	w := newBoundWindower(t, 15*time.Minute)
+	if _, err := observe(w, rec(7*time.Minute, "a")); err != nil {
 		t.Fatal(err)
 	}
 	if !w.Start().Equal(t0()) {

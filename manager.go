@@ -9,6 +9,7 @@ import (
 
 	"tiresias/internal/algo"
 	"tiresias/internal/fault"
+	"tiresias/internal/shhh"
 	"tiresias/internal/stream"
 )
 
@@ -111,7 +112,7 @@ func (sh *managerShard) getOrCreate(m *Manager, streamName string) (*managedStre
 type managedStream struct {
 	det     *Tiresias
 	w       *stream.Windower
-	warmBuf []Timeunit
+	warmBuf []shhh.Unit
 	first   startClock
 	dirty   bool // current timeunit has records since the last Flush
 	units   int  // detection units processed

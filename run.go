@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"tiresias/internal/algo"
+	"tiresias/internal/shhh"
 	"tiresias/internal/stream"
 )
 
@@ -71,7 +72,7 @@ func (t *Tiresias) Run(ctx context.Context, src Source) (*RunResult, error) {
 	w.SetMaxGap(t.opts.maxGap)
 	w.BindTree(t.tree)
 	res := &RunResult{}
-	var warmBuf []Timeunit
+	var warmBuf []shhh.Unit
 	var first startClock
 	sinceCheck := 0
 	for {
@@ -109,7 +110,7 @@ func (t *Tiresias) Run(ctx context.Context, src Source) (*RunResult, error) {
 	// A stream shorter than the window still warms the detector with
 	// whatever history it carried (reduced forecast quality).
 	if !t.warm {
-		if err := t.Warmup(warmBuf, first.at); err != nil {
+		if err := t.warmup(warmBuf, first.at); err != nil {
 			return res, err
 		}
 	}
@@ -131,7 +132,7 @@ func (c *startClock) observe(w *stream.Windower) {
 
 // runUnit routes one completed dense timeunit through ingestUnitDense
 // and accumulates the screened result.
-func (t *Tiresias) runUnit(u *algo.DenseUnit, warmBuf *[]Timeunit, first *startClock, res *RunResult) error {
+func (t *Tiresias) runUnit(u *algo.DenseUnit, warmBuf *[]shhh.Unit, first *startClock, res *RunResult) error {
 	sr, err := t.ingestUnitDense(u, warmBuf, first.at)
 	if err != nil || sr == nil {
 		return err

@@ -42,12 +42,13 @@ func TestSoakSpeedupGrowsWithWindow(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := e.Init(w.Units[:warm]); err != nil {
+			if _, err := e.Init(algo.Units(e.Tree(), w.Units[:warm])); err != nil {
 				t.Fatal(err)
 			}
 			var total time.Duration
+			var du algo.DenseUnit
 			for _, u := range w.Units[warm:] {
-				st, err := e.Step(u)
+				st, err := e.Step(du.Load(e.Tree(), u))
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -47,6 +47,7 @@ import (
 	"tiresias/internal/detect"
 	"tiresias/internal/hierarchy"
 	"tiresias/internal/seasonal"
+	"tiresias/internal/shhh"
 )
 
 // Algorithm selects the Step-2 engine.
@@ -236,6 +237,9 @@ type Tiresias struct {
 	xi      float64
 
 	lastState *algo.StepState
+
+	// du is ProcessUnit's scratch for the map→dense adapter.
+	du algo.DenseUnit
 }
 
 // New constructs a Tiresias instance.
@@ -320,6 +324,11 @@ func (t *Tiresias) Warmup(units []Timeunit, start time.Time) error {
 	if t.warm {
 		return ErrWarm
 	}
+	return t.warmup(algo.Units(t.tree, units), start)
+}
+
+// warmup is Warmup over compact units whose IDs belong to t.tree.
+func (t *Tiresias) warmup(units []shhh.Unit, start time.Time) error {
 	t.start = start
 
 	// Step 3: seasonality analysis over the total-count series.
@@ -386,7 +395,7 @@ func (t *Tiresias) newEngine() (algo.Engine, error) {
 // analyzeSeasonality runs FFT + wavelet analysis on the aggregate
 // series and returns up to two seasonal periods (in timeunits) and the
 // combination weight ξ.
-func (t *Tiresias) analyzeSeasonality(units []Timeunit) ([]int, float64) {
+func (t *Tiresias) analyzeSeasonality(units []shhh.Unit) ([]int, float64) {
 	totals := make([]float64, len(units))
 	for i, u := range units {
 		totals[i] = u.Total()
@@ -466,11 +475,7 @@ func (t *Tiresias) ProcessUnit(u Timeunit) (*StepResult, error) {
 	if !t.warm {
 		return nil, ErrNotWarm
 	}
-	st, err := t.engine.Step(u)
-	if err != nil {
-		return nil, err
-	}
-	return t.finishStep(st), nil
+	return t.processDense(t.du.Load(t.tree, u))
 }
 
 // processDense is ProcessUnit for a timeunit in dense node-ID form
@@ -480,7 +485,7 @@ func (t *Tiresias) processDense(u *algo.DenseUnit) (*StepResult, error) {
 	if !t.warm {
 		return nil, ErrNotWarm
 	}
-	st, err := t.engine.StepDense(u)
+	st, err := t.engine.Step(u)
 	if err != nil {
 		return nil, err
 	}
@@ -519,35 +524,19 @@ func (t *Tiresias) emit(st *algo.StepState, anoms []Anomaly, unitStart time.Time
 	}
 }
 
-// ingestUnit routes one completed timeunit of a record feed: buffered
-// for warmup until the window fills (nil result), screened for
-// anomalies afterwards. first is the wall-clock start of the feed's
-// first unit, used when the buffer triggers Warmup. Shared by Run and
-// Manager so warmup semantics cannot drift between them.
-func (t *Tiresias) ingestUnit(u Timeunit, warmBuf *[]Timeunit, first time.Time) (*StepResult, error) {
+// ingestUnitDense routes one completed timeunit of a record feed,
+// pooled from a bound windower: a compact copy is buffered for warmup
+// until the window fills (nil result), and once warm the unit flows to
+// the engine's step untouched. first is the wall-clock start of the
+// feed's first unit, used when the buffer triggers warmup. Shared by
+// Run and Manager so warmup semantics cannot drift between them.
+func (t *Tiresias) ingestUnitDense(u *algo.DenseUnit, warmBuf *[]shhh.Unit, first time.Time) (*StepResult, error) {
 	if !t.warm {
-		*warmBuf = append(*warmBuf, u)
+		*warmBuf = append(*warmBuf, u.Unit())
 		if len(*warmBuf) < t.opts.windowLen {
 			return nil, nil
 		}
-		err := t.Warmup(*warmBuf, first)
-		*warmBuf = nil
-		return nil, err
-	}
-	return t.ProcessUnit(u)
-}
-
-// ingestUnitDense is ingestUnit for pooled dense units from a bound
-// windower. During warmup the unit is converted to its map form (the
-// warm buffer must outlive the pooled unit); once warm it flows to the
-// engine's dense step untouched.
-func (t *Tiresias) ingestUnitDense(u *algo.DenseUnit, warmBuf *[]Timeunit, first time.Time) (*StepResult, error) {
-	if !t.warm {
-		*warmBuf = append(*warmBuf, u.Timeunit(t.tree))
-		if len(*warmBuf) < t.opts.windowLen {
-			return nil, nil
-		}
-		err := t.Warmup(*warmBuf, first)
+		err := t.warmup(*warmBuf, first)
 		*warmBuf = nil
 		return nil, err
 	}
